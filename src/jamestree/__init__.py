@@ -17,11 +17,7 @@ from .nodes import (
     disjoint,
     enumerate_nodes,
     index_of,
-    interval_contains,
-    level,
     node_at,
-    precedes,
-    segment_between,
     separation_level,
     successor,
 )
@@ -32,7 +28,6 @@ from .vectors import (
     BackendMismatchError,
     JTVector,
     VectorFormatError,
-    basis_at,
     basis_vector,
     dumps_vector,
     load_vector,
@@ -70,9 +65,7 @@ from .lab import (
     antichain_nodes,
     basic_sequence_constant,
     chain_blocks,
-    l1_lower_constant,
     l1_lower_constants,
-    lemma_estimates_suite,
     random_block_sequence,
     random_kstar,
     random_node,
@@ -84,72 +77,3 @@ from .lab import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ROOT",
-    "BranchPrefix",
-    "InsufficientPrefixError",
-    "Interval",
-    "NodeId",
-    "Segment",
-    "disjoint",
-    "enumerate_nodes",
-    "index_of",
-    "interval_contains",
-    "level",
-    "node_at",
-    "precedes",
-    "segment_between",
-    "separation_level",
-    "successor",
-    "BACKENDS",
-    "EXACT",
-    "FLOAT",
-    "BackendMismatchError",
-    "JTVector",
-    "VectorFormatError",
-    "basis_at",
-    "basis_vector",
-    "dumps_vector",
-    "load_vector",
-    "loads_vector",
-    "InstanceTooLargeError",
-    "NormWitness",
-    "OverlappingSegmentsError",
-    "SegmentFamily",
-    "brute_force_norm",
-    "candidate_segments",
-    "family_value_squared",
-    "jt_norm",
-    "norm_lower_upper",
-    "InvalidKStarError",
-    "KStarElement",
-    "branch_through",
-    "eval_interval",
-    "eval_kstar",
-    "eval_kstar_squared",
-    "kstar_to_json_dict",
-    "load_kstar",
-    "loads_kstar",
-    "norming_functional",
-    "separation_witness",
-    "EXPERIMENTS",
-    "BlockSequence",
-    "ExperimentReport",
-    "antichain_blocks",
-    "antichain_nodes",
-    "basic_sequence_constant",
-    "chain_blocks",
-    "l1_lower_constant",
-    "l1_lower_constants",
-    "lemma_estimates_suite",
-    "random_block_sequence",
-    "random_kstar",
-    "random_node",
-    "random_vector",
-    "run_check_suite",
-    "standard_basis_blocks",
-    "substream",
-    "w_cauchy_probe",
-    "__version__",
-]

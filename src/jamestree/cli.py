@@ -14,7 +14,7 @@ import sys
 from .functionals import eval_kstar, load_kstar
 from .lab import EXPERIMENTS, run_check_suite
 from .nodes import enumerate_nodes
-from .norm import jt_norm
+from .norm import brute_force_norm, jt_norm
 from .vectors import EXACT, FLOAT, load_vector, scalar_to_json
 
 
@@ -25,26 +25,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc))
+    # a NaN or an overflow to Infinity raises here, before anything prints
+    print(json.dumps(doc, allow_nan=False))
 
 
-def _cmd_norm(args, force_witness: bool = False) -> int:
+def _cmd_norm(args) -> int:
     x = load_vector(args.vector, args.backend)
-    witness = jt_norm(x, method=args.method, max_candidates=args.max_candidates)
+    if args.method == "oracle":
+        witness = brute_force_norm(x, max_candidates=args.max_candidates)
+    else:
+        witness = jt_norm(x)
     doc = {
         "value_squared": scalar_to_json(witness.value_squared),
         "value": witness.value,
         "method": args.method,
         "backend": args.backend,
     }
-    if force_witness or args.witness:
+    if args.witness:
         doc["witness"] = [str(seg) for seg in witness.family]
     _emit(doc)
     return 0
-
-
-def _cmd_witness(args) -> int:
-    return _cmd_norm(args, force_witness=True)
 
 
 def _cmd_eval(args) -> int:
@@ -95,21 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend(p):
         p.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT)
 
-    p_norm = sub.add_parser("norm", help="norm of a vector file")
-    p_norm.add_argument("vector")
-    add_backend(p_norm)
-    p_norm.add_argument("--method", choices=("dp", "oracle"), default="dp")
-    p_norm.add_argument("--witness", action="store_true")
-    p_norm.add_argument("--max-candidates", type=int, default=22)
-    p_norm.set_defaults(func=_cmd_norm)
-
-    p_wit = sub.add_parser("witness", help="norm plus an optimal segment family")
-    p_wit.add_argument("vector")
-    add_backend(p_wit)
-    p_wit.add_argument("--method", choices=("dp", "oracle"), default="dp")
-    p_wit.add_argument("--witness", action="store_true", help=argparse.SUPPRESS)
-    p_wit.add_argument("--max-candidates", type=int, default=22)
-    p_wit.set_defaults(func=_cmd_witness)
+    # witness is norm with --witness always on (and the flag hidden)
+    for name, help_text, witness in (
+        ("norm", "norm of a vector file", False),
+        ("witness", "norm plus an optimal segment family", True),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("vector")
+        add_backend(p)
+        p.add_argument("--method", choices=("dp", "oracle"), default="dp")
+        p.add_argument(
+            "--witness", action="store_true", help=argparse.SUPPRESS if witness else None
+        )
+        p.add_argument("--max-candidates", type=int, default=22)
+        p.set_defaults(func=_cmd_norm, witness=witness)
 
     p_eval = sub.add_parser("eval", help="apply a functional file to a vector file")
     p_eval.add_argument("functional")

@@ -11,11 +11,10 @@ then checked on squares, where everything is rational.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .nodes import (
     BranchPrefix,
@@ -24,7 +23,6 @@ from .nodes import (
     NodeId,
     Segment,
     disjoint,
-    interval_contains,
 )
 from .norm import jt_norm
 from .vectors import (
@@ -34,6 +32,7 @@ from .vectors import (
     Scalar,
     VectorFormatError,
     as_scalar,
+    loads_json,
     scalar_to_json,
     zero_scalar,
 )
@@ -47,7 +46,7 @@ def eval_interval(interval: Interval, x: JTVector) -> Scalar:
     """I*(x) = sum of x_s over support nodes s lying in the interval."""
     total = zero_scalar(x.backend)
     for node, value in x.items():
-        if interval_contains(interval, node):
+        if interval.contains(node):
             total += value
     return total
 
@@ -79,15 +78,19 @@ def separation_witness(p: NodeId, q: NodeId) -> NodeId:
 class KStarElement:
     """Finite combination sum_i (w_i / sqrt(scale_squared)) * I_i*.
 
-    Invariants: the intervals are pairwise disjoint and
-    sum_i w_i^2 <= scale_squared (the l2 unit-ball constraint on the
-    acting coefficients).  Plain hand-written functionals have
-    scale_squared = 1, making w_i the literal coefficients.
+    Invariants, checked once at construction (the element is frozen): the
+    intervals are pairwise disjoint and sum_i w_i^2 <= scale_squared (the
+    l2 unit-ball constraint on the acting coefficients).  Plain
+    hand-written functionals have scale_squared = 1, making w_i the
+    literal coefficients.
     """
 
     terms: tuple[tuple[Scalar, Interval], ...]
     scale_squared: Scalar
     backend: str = EXACT
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @classmethod
     def from_terms(
@@ -99,9 +102,7 @@ class KStarElement:
         coerced = tuple(
             (as_scalar(alpha, backend), interval) for alpha, interval in terms
         )
-        element = cls(coerced, as_scalar(scale_squared, backend), backend)
-        element.validate()
-        return element
+        return cls(coerced, as_scalar(scale_squared, backend), backend)
 
     def validate(self) -> None:
         if self.scale_squared <= 0:
@@ -127,6 +128,10 @@ class KStarElement:
 
 
 def _weighted_sum(k: KStarElement, x: JTVector) -> Scalar:
+    if k.backend != x.backend:
+        raise BackendMismatchError(
+            f"cannot evaluate {k.backend} functional on {x.backend} vector"
+        )
     total = zero_scalar(x.backend)
     for w, interval in k.terms:
         total += w * eval_interval(interval, x)
@@ -139,11 +144,6 @@ def eval_kstar_squared(k: KStarElement, x: JTVector) -> Scalar:
     (sum_i w_i I_i*(x))^2 / scale_squared is rational whenever the inputs
     are, even though the evaluation itself may be irrational.
     """
-    if k.backend != x.backend:
-        raise BackendMismatchError(
-            f"cannot evaluate {k.backend} functional on {x.backend} vector"
-        )
-    k.validate()
     s = _weighted_sum(k, x)
     return s * s / k.scale_squared
 
@@ -155,11 +155,6 @@ def eval_kstar(k: KStarElement, x: JTVector) -> Scalar:
     returned as a float; exact identity checks should use
     eval_kstar_squared instead.
     """
-    if k.backend != x.backend:
-        raise BackendMismatchError(
-            f"cannot evaluate {k.backend} functional on {x.backend} vector"
-        )
-    k.validate()
     s = _weighted_sum(k, x)
     if k.scale_squared == 1:
         result: Scalar = s
@@ -253,25 +248,11 @@ def kstar_from_json_dict(obj, backend: str) -> KStarElement:
     scale = obj.get("scale_squared", 1)
     if not isinstance(scale, (int, float, str, Fraction)) or isinstance(scale, bool):
         raise VectorFormatError(f"bad scale_squared {scale!r}")
-    try:
-        return KStarElement.from_terms(terms, backend, scale)
-    except InvalidKStarError:
-        raise
-    except (BackendMismatchError, VectorFormatError):
-        raise
-    except ValueError as exc:
-        raise VectorFormatError(str(exc)) from exc
+    return KStarElement.from_terms(terms, backend, scale)
 
 
 def loads_kstar(text: str, backend: str = EXACT) -> KStarElement:
-    try:
-        if backend == EXACT:
-            obj = json.loads(text, parse_float=Fraction)
-        else:
-            obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise VectorFormatError(f"invalid JSON: {exc}") from exc
-    return kstar_from_json_dict(obj, backend)
+    return kstar_from_json_dict(loads_json(text, backend), backend)
 
 
 def load_kstar(path, backend: str = EXACT) -> KStarElement:

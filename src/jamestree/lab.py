@@ -40,10 +40,6 @@ def substream(seed: int, index: int) -> random.Random:
     return random.Random(base ^ (index * 0x9E3779B97F4A7C15))
 
 
-def substreams(seed: int, count: int) -> list[random.Random]:
-    return [substream(seed, i) for i in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # instance generators
 
@@ -412,12 +408,6 @@ def l1_lower_constants(
     return out
 
 
-def l1_lower_constant(
-    blocks: BlockSequence, n: int, budget: int = 150, seed: int = 0
-) -> float:
-    return l1_lower_constants(blocks, [n], budget, seed)[n]
-
-
 def w_cauchy_probe(
     seq: Sequence[JTVector],
     intervals: Sequence[Interval],
@@ -463,8 +453,39 @@ def w_cauchy_probe(
     )
 
 
-def lemma_estimates_suite(trials: int = 100, seed: int = 0) -> ExperimentReport:
+# ---------------------------------------------------------------------------
+# named experiment runners (CLI entry points)
+
+
+def run_oracle_vs_dp(seed: int = 0, trials: int | None = None) -> ExperimentReport:
+    trials = 100 if trials is None else trials
+    records = []
+    verdict = True
+    for i in range(trials):
+        rng = substream(seed, i)
+        x = random_vector(rng)
+        dp = jt_norm(x)
+        oracle = brute_force_norm(x, max_candidates=64)
+        ok = dp.value_squared == oracle.value_squared
+        verdict = verdict and ok
+        records.append(
+            {
+                "trial": i,
+                "value_squared": scalar_to_json(oracle.value_squared),
+                "ok": ok,
+            }
+        )
+    return ExperimentReport(
+        name="oracle-vs-dp",
+        parameters={"trials": trials, "seed": seed},
+        records=tuple(records),
+        verdict=verdict,
+    )
+
+
+def run_lemma_estimates(seed: int = 0, trials: int | None = None) -> ExperimentReport:
     """Random checks of ||s_k||^2 + ||x - s_k||^2 <= ||x||^2, zero tolerance."""
+    trials = 100 if trials is None else trials
     records = []
     verdict = True
     for i in range(trials):
@@ -493,40 +514,6 @@ def lemma_estimates_suite(trials: int = 100, seed: int = 0) -> ExperimentReport:
         records=tuple(records),
         verdict=verdict,
     )
-
-
-# ---------------------------------------------------------------------------
-# named experiment runners (CLI entry points)
-
-
-def run_oracle_vs_dp(seed: int = 0, trials: int | None = None) -> ExperimentReport:
-    trials = 100 if trials is None else trials
-    records = []
-    verdict = True
-    for i in range(trials):
-        rng = substream(seed, i)
-        x = random_vector(rng)
-        dp = jt_norm(x, method="dp")
-        oracle = brute_force_norm(x, max_candidates=64)
-        ok = dp.value_squared == oracle.value_squared
-        verdict = verdict and ok
-        records.append(
-            {
-                "trial": i,
-                "value_squared": scalar_to_json(oracle.value_squared),
-                "ok": ok,
-            }
-        )
-    return ExperimentReport(
-        name="oracle-vs-dp",
-        parameters={"trials": trials, "seed": seed},
-        records=tuple(records),
-        verdict=verdict,
-    )
-
-
-def run_lemma_estimates(seed: int = 0, trials: int | None = None) -> ExperimentReport:
-    return lemma_estimates_suite(trials=100 if trials is None else trials, seed=seed)
 
 
 def run_basis_constant(seed: int = 0, trials: int | None = None) -> ExperimentReport:

@@ -83,14 +83,6 @@ class NodeId:
 ROOT = NodeId()
 
 
-def level(node: NodeId) -> int:
-    return node.level
-
-
-def precedes(s: NodeId, t: NodeId) -> bool:
-    return s.precedes(t)
-
-
 def node_at(n: int) -> NodeId:
     """The n-th node of the enumeration, 1-based.
 
@@ -168,11 +160,6 @@ class Segment:
 
     def __str__(self) -> str:
         return f"{self.start}..{self.end}"
-
-
-def segment_between(s: NodeId, t: NodeId) -> Segment:
-    """The unique segment with top endpoint s and bottom endpoint t."""
-    return Segment(s, t)
 
 
 @dataclass(frozen=True)
@@ -255,10 +242,6 @@ def disjoint(a: Interval, b: Interval) -> bool:
         return any(b.end.bits[i] != a.bit_at(i) for i in range(lo))
     lo = max(a.stem.level, b.stem.level)
     return _common_direction_length(a, b) < lo
-
-
-def interval_contains(interval: Interval, node: NodeId) -> bool:
-    return interval.contains(node)
 
 
 def separation_level(

@@ -7,7 +7,7 @@ The squared norm of a finitely supported vector x is the maximum of
 over finite families {F_i} of pairwise disjoint segments.  Two engines
 compute it:
 
-* ``jt_norm(x, method="dp")`` runs a dynamic program over the support
+* ``jt_norm(x)`` runs a dynamic program over the support
   closure forest (every node lying on a chain between two support nodes,
   rooted at the minimal support nodes).  Per node it keeps the best
   all-closed value plus a set of "open segment" states; a state (c, d)
@@ -230,20 +230,14 @@ def _closure_forest(ids: Sequence[int]) -> tuple[list[int], dict[int, list[int]]
     return sorted(minimal), children
 
 
-def jt_norm(x: JTVector, method: str = "dp", max_candidates: int = 22) -> NormWitness:
-    """Squared norm with a maximizing disjoint segment family.
+def jt_norm(x: JTVector) -> NormWitness:
+    """Squared norm with a maximizing disjoint segment family, by the DP.
 
-    ``method="dp"`` handles any finite support; ``method="oracle"`` defers
-    to ``brute_force_norm`` (small instances only).  The DP witness is
-    trimmed to support endpoints, stripped of zero-sum segments, and sorted
-    by (start index, end index); its value always matches the optimum
-    exactly on the exact backend.
+    Handles any finite support.  The witness is trimmed to support
+    endpoints, stripped of zero-sum segments, and sorted by (start index,
+    end index); its value always matches the optimum exactly on the exact
+    backend.
     """
-    if method == "oracle":
-        return brute_force_norm(x, max_candidates=max_candidates)
-    if method != "dp":
-        raise ValueError(f"unknown method {method!r}; expected 'dp' or 'oracle'")
-
     zero = zero_scalar(x.backend)
     if x.is_zero:
         return NormWitness(zero, ())

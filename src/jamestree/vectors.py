@@ -13,17 +13,19 @@ support; the norm engine's candidate-segment pruning relies on that.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .nodes import NodeId, index_of, node_at
+from .nodes import NodeId, index_of
 
 Scalar = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
 BACKENDS = (EXACT, FLOAT)
+_FLOAT_MAX = sys.float_info.max
 
 
 class BackendMismatchError(ValueError):
@@ -43,7 +45,7 @@ def as_scalar(value, backend: str) -> Scalar:
 
     The exact backend takes ints, Fractions and "p/q" strings; floats are
     rejected there (no silent binary-to-rational reinterpretation).  The
-    float backend takes ints and floats only.
+    float backend takes ints and floats only, and only finite ones.
     """
     if backend == EXACT:
         if isinstance(value, bool):
@@ -62,6 +64,9 @@ def as_scalar(value, backend: str) -> Scalar:
         if isinstance(value, bool):
             raise BackendMismatchError(f"not a scalar: {value!r}")
         if isinstance(value, (int, float)):
+            # false for NaN, the infinities and ints beyond binary64's range
+            if not abs(value) <= _FLOAT_MAX:
+                raise VectorFormatError(f"{value!r} is not a finite binary64 value")
             return float(value)
         if isinstance(value, str):
             raise VectorFormatError(
@@ -190,11 +195,6 @@ def basis_vector(node: NodeId, backend: str = EXACT, coefficient=1) -> JTVector:
     return JTVector.from_entries({node: coefficient}, backend)
 
 
-def basis_at(n: int, backend: str = EXACT) -> JTVector:
-    """Unit vector at the n-th enumerated node."""
-    return basis_vector(node_at(n), backend)
-
-
 def vector_from_json_dict(obj, backend: str) -> JTVector:
     if not isinstance(obj, dict):
         raise VectorFormatError("vector document must be a JSON object")
@@ -212,20 +212,23 @@ def vector_from_json_dict(obj, backend: str) -> JTVector:
     return JTVector.from_entries(entries, backend)
 
 
-def loads_vector(text: str, backend: str = EXACT) -> JTVector:
-    """Parse the vector file format.
+def loads_json(text: str, backend: str = EXACT):
+    """Parse a vector or functional file's JSON text for the given backend.
 
     Decimal literals in an exact-backend file are read with decimal
     semantics ("0.5" means one half), not reinterpreted binary64.
     """
     try:
         if backend == EXACT:
-            obj = json.loads(text, parse_float=Fraction)
-        else:
-            obj = json.loads(text)
+            return json.loads(text, parse_float=Fraction)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise VectorFormatError(f"invalid JSON: {exc}") from exc
-    return vector_from_json_dict(obj, backend)
+
+
+def loads_vector(text: str, backend: str = EXACT) -> JTVector:
+    """Parse the vector file format."""
+    return vector_from_json_dict(loads_json(text, backend), backend)
 
 
 def load_vector(path, backend: str = EXACT) -> JTVector:

@@ -59,11 +59,11 @@ def test_criterion_01_oracle_equivalence():
     for i in range(500):
         rng = substream(ACCEPT_SEED, i)
         x = random_vector(rng, max_support=8, max_depth=6)
-        dp = jt_norm(x, method="dp").value_squared
+        dp = jt_norm(x).value_squared
         oracle = brute_force_norm(x, max_candidates=64).value_squared
         if dp != oracle:
             mismatches += 1
-        fdp = jt_norm(x.to_float(), method="dp").value_squared
+        fdp = jt_norm(x.to_float()).value_squared
         if not math.isclose(fdp, float(dp), rel_tol=1e-9):
             float_bad += 1
         cases.append((x, dp))

@@ -25,6 +25,18 @@ def err_doc(capsys):
     return json.loads(captured.err)
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
+NON_FINITE = ['{"": NaN, "0": 1}', '{"": Infinity}', '{"0": -Infinity}', '{"": 1e400}']
+OVERFLOW = '{"": 1e308, "0": 1e308}'
+
+
 # ---------------------------------------------------------------------------
 # norm and witness
 
@@ -99,6 +111,20 @@ def test_norm_oracle_refuses_large_instance(tmp_path, capsys):
     assert out_doc(capsys)["value_squared"] == "64"
 
 
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_norm_rejects_non_finite_float_input(tmp_path, capsys, text):
+    vector = write(tmp_path, "x.json", text)
+    assert run(["norm", vector, "--backend", "float"]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_norm_overflow_exits_2(tmp_path, capsys):
+    # finite entries whose squared norm overflows binary64
+    vector = write(tmp_path, "x.json", OVERFLOW)
+    assert run(["witness", vector, "--backend", "float"]) == 2
+    assert_one_error_line(capsys)
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -137,6 +163,35 @@ def test_eval_rejects_invalid_functional(tmp_path, capsys):
     vector = write(tmp_path, "x.json", '{"0": 1}')
     assert run(["eval", functional, vector]) == 2
     assert "l2" in err_doc(capsys)["error"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_eval_rejects_non_finite_float_input(tmp_path, capsys, text):
+    functional = write(tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": "..0"}]}')
+    vector = write(tmp_path, "x.json", text)
+    assert run(["eval", functional, vector, "--backend", "float"]) == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"terms": [{"alpha": NaN, "interval": "..0"}]}',
+        '{"terms": [{"alpha": 1, "interval": "..0"}], "scale_squared": Infinity}',
+    ],
+)
+def test_eval_rejects_non_finite_functional(tmp_path, capsys, text):
+    functional = write(tmp_path, "k.json", text)
+    vector = write(tmp_path, "x.json", '{"": 1}')
+    assert run(["eval", functional, vector, "--backend", "float"]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_eval_overflow_exits_2(tmp_path, capsys):
+    functional = write(tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": "..0"}]}')
+    vector = write(tmp_path, "x.json", OVERFLOW)
+    assert run(["eval", functional, vector, "--backend", "float"]) == 2
+    assert_one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,17 @@ def test_kstar_rejects_bad_scale():
         KStarElement.from_terms([(1, Segment.parse(".."))], scale_squared=0)
     with pytest.raises(InvalidKStarError):
         KStarElement.from_terms([(1, Segment.parse(".."))], scale_squared=-4)
+    # the constructor itself holds the invariant, not only from_terms
+    with pytest.raises(InvalidKStarError):
+        KStarElement(((Fraction(1), Segment.parse("..")),), Fraction(0), EXACT)
 
 
 def test_kstar_rejects_l2_violation():
     terms = [(1, Segment.parse("0..0")), (1, Segment.parse("1..1"))]
     with pytest.raises(InvalidKStarError):
         KStarElement.from_terms(terms)  # 1 + 1 > 1
+    with pytest.raises(InvalidKStarError):
+        KStarElement(tuple((Fraction(w), iv) for w, iv in terms), Fraction(1), EXACT)
     KStarElement.from_terms(terms, scale_squared=2)  # boundary is allowed
 
 
@@ -198,6 +203,12 @@ def test_kstar_rejects_overlapping_intervals():
                 (Fraction(1, 2), BranchPrefix(ROOT, (0,))),
                 (Fraction(1, 2), Segment.parse("00..00")),
             ]
+        )
+    with pytest.raises(InvalidKStarError):
+        KStarElement(
+            ((Fraction(1, 2), Segment.parse("..")), (Fraction(1, 2), Segment.parse("..0"))),
+            Fraction(1),
+            EXACT,
         )
 
 

@@ -13,11 +13,7 @@ from jamestree.nodes import (
     disjoint,
     enumerate_nodes,
     index_of,
-    interval_contains,
-    level,
     node_at,
-    precedes,
-    segment_between,
     separation_level,
     successor,
 )
@@ -55,7 +51,7 @@ def test_index_of_inverts_node_at():
 
 def test_level_is_floor_log2():
     for n in range(1, 1 << 10):
-        assert level(node_at(n)) == n.bit_length() - 1
+        assert node_at(n).level == n.bit_length() - 1
 
 
 def test_node_at_rejects_nonpositive():
@@ -91,22 +87,22 @@ def test_nodeid_rejects_bad_bits():
 
 
 def test_precedes_examples():
-    assert precedes(ROOT, NodeId((1, 0)))
-    assert precedes(NodeId((0,)), NodeId((0, 1)))
-    assert not precedes(NodeId((0,)), NodeId((1, 0)))
+    assert ROOT.precedes(NodeId((1, 0)))
+    assert NodeId((0,)).precedes(NodeId((0, 1)))
+    assert not NodeId((0,)).precedes(NodeId((1, 0)))
 
 
 def test_precedes_is_partial_order():
     rng = random.Random(41)
     pool = [node_at(rng.randint(1, 200)) for _ in range(40)]
     for a in pool:
-        assert precedes(a, a)
+        assert a.precedes(a)
         for b in pool:
-            if precedes(a, b) and precedes(b, a):
+            if a.precedes(b) and b.precedes(a):
                 assert a == b
             for c in pool:
-                if precedes(a, b) and precedes(b, c):
-                    assert precedes(a, c)
+                if a.precedes(b) and b.precedes(c):
+                    assert a.precedes(c)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +110,10 @@ def test_precedes_is_partial_order():
 
 
 def test_segment_between_examples():
-    assert list(segment_between(ROOT, ROOT).nodes()) == [ROOT]
-    seg = segment_between(NodeId((0,)), NodeId((0, 1, 1)))
+    assert list(Segment(ROOT, ROOT).nodes()) == [ROOT]
+    seg = Segment(NodeId((0,)), NodeId((0, 1, 1)))
     assert [str(s) for s in seg.nodes()] == ["0", "01", "011"]
-    assert len(segment_between(ROOT, NodeId((1, 0)))) == 3
+    assert len(Segment(ROOT, NodeId((1, 0)))) == 3
 
 
 def test_segment_rejects_incomparable_and_reversed():
@@ -146,7 +142,7 @@ def test_segment_nodes_are_convex_chain():
         start = end.prefix(rng.randint(0, end.level))
         nodes = list(Segment(start, end).nodes())
         for a, b in zip(nodes, nodes[1:]):
-            assert precedes(a, b) and b.level == a.level + 1
+            assert a.precedes(b) and b.level == a.level + 1
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +210,12 @@ def test_branch_branch_disjointness_matches_expansion():
 
 def test_interval_contains():
     seg = Segment.parse("0..010")
-    assert interval_contains(seg, NodeId((0, 1)))
-    assert not interval_contains(seg, NodeId((0, 0)))
+    assert seg.contains(NodeId((0, 1)))
+    assert not seg.contains(NodeId((0, 0)))
     branch = BranchPrefix(NodeId((0,)), (1,))
-    assert interval_contains(branch, NodeId((0, 1, 1)))
-    assert not interval_contains(branch, ROOT)  # below the stem only
-    assert not interval_contains(branch, NodeId((0, 0)))
+    assert branch.contains(NodeId((0, 1, 1)))
+    assert not branch.contains(ROOT)  # below the stem only
+    assert not branch.contains(NodeId((0, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -141,11 +141,6 @@ def test_dp_matches_examples():
         assert jt_norm(basis_vector(node_at(n))).value_squared == 1
 
 
-def test_dp_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        jt_norm(JTVector.zero(), method="guess")
-
-
 def test_dp_zero_vector():
     w = jt_norm(JTVector.zero())
     assert w.value_squared == 0 and w.family == ()

@@ -12,7 +12,6 @@ from jamestree.vectors import (
     BackendMismatchError,
     JTVector,
     VectorFormatError,
-    basis_at,
     basis_vector,
     dumps_vector,
     loads_vector,
@@ -169,4 +168,4 @@ def test_dumps_loads_roundtrip():
 
 
 def test_basis_at():
-    assert basis_at(4).support() == {NodeId((0, 0))}
+    assert basis_vector(node_at(4)).support() == {NodeId((0, 0))}
