@@ -19,10 +19,10 @@ from typing import Iterable
 from .nodes import (
     BranchPrefix,
     Interval,
-    InsufficientPrefixError,
     NodeId,
     Segment,
     disjoint,
+    separation_level,
 )
 from .norm import jt_norm
 from .vectors import (
@@ -63,15 +63,10 @@ def separation_witness(p: NodeId, q: NodeId) -> NodeId:
 
     The returned node s lies on the branch through p but not on the branch
     through q, so the two branch functionals differ by exactly 1 on e_s.
-    Raises when one prefix agrees with the other on every available bit.
+    Raises InsufficientPrefixError when one prefix agrees with the other
+    on every available bit.
     """
-    limit = min(len(p.bits), len(q.bits))
-    for i in range(limit):
-        if p.bits[i] != q.bits[i]:
-            return NodeId(p.bits[: i + 1])
-    raise InsufficientPrefixError(
-        f"prefixes {p!s} and {q!s} agree on all mutually available bits"
-    )
+    return p.prefix(separation_level([p, q]))
 
 
 @dataclass(frozen=True)
@@ -157,18 +152,8 @@ def eval_kstar(k: KStarElement, x: JTVector) -> Scalar:
     """
     s = _weighted_sum(k, x)
     if k.scale_squared == 1:
-        result: Scalar = s
-    else:
-        result = float(s) / math.sqrt(float(k.scale_squared))
-    if __debug__ and not x.is_zero:
-        # |k*(x)|^2 <= ||x||^2: coefficient l2 bound against disjoint intervals
-        norm_sq = jt_norm(x).value_squared
-        ev_sq = s * s / k.scale_squared
-        if x.backend == EXACT:
-            assert ev_sq <= norm_sq
-        else:
-            assert float(ev_sq) <= float(norm_sq) * (1.0 + 1e-9) + 1e-12
-    return result
+        return s
+    return float(s) / math.sqrt(float(k.scale_squared))
 
 
 def norming_functional(x: JTVector) -> KStarElement:

@@ -10,6 +10,12 @@ branches (everything from a stem node down one fixed 0/1 direction).
 The canonical enumeration lists nodes level by level, within a level in
 binary-counter order: root, (0), (1), (0,0), (0,1), (1,0), (1,1), ...
 Indices are 1-based, so the node at index n sits at level floor(log2 n).
+
+A ``NodeId`` is stored as its enumeration index and nothing else: a
+leading 1 followed by the node's bits, so the root is 1, the children of
+v are 2v and 2v + 1, and the parent of v is v >> 1.  Nodes order by
+enumeration, and the node algebra below is shifts and compares on that
+one int; the bit tuple and the text form are derived from it on demand.
 """
 
 from __future__ import annotations
@@ -29,52 +35,69 @@ def _coerce_bits(bits: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, init=False)
 class NodeId:
-    """A tree node addressed by its root path, most significant bit first."""
+    """A tree node, stored as its 1-based enumeration index.
 
-    bits: tuple[int, ...] = ()
+    ``NodeId(bits)`` takes the root path, most significant bit first.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _coerce_bits(self.bits))
+    index: int
+
+    def __init__(self, bits: Iterable[int] = ()) -> None:
+        text = "".join(map(str, _coerce_bits(bits)))
+        object.__setattr__(self, "index", int("1" + text, 2))
+
+    @classmethod
+    def _at(cls, index: int) -> "NodeId":
+        node = object.__new__(cls)
+        object.__setattr__(node, "index", index)
+        return node
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
         """Parse the textual form: a string of '0'/'1', empty meaning root."""
         if not all(ch in "01" for ch in text):
             raise ValueError(f"invalid node string {text!r}")
-        return cls(tuple(int(ch) for ch in text))
+        return cls._at(int("1" + text, 2))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, str(self)))
 
     @property
     def level(self) -> int:
-        return len(self.bits)
+        return self.index.bit_length() - 1
 
     @property
     def is_root(self) -> bool:
-        return not self.bits
+        return self.index == 1
 
     def child(self, bit: int) -> "NodeId":
-        return NodeId(self.bits + (bit,))
+        if bit not in (0, 1):
+            raise ValueError(f"node bits must be 0 or 1, got {bit!r}")
+        return NodeId._at(2 * self.index + int(bit))
 
     def parent(self) -> "NodeId":
         if self.is_root:
             raise ValueError("the root has no parent")
-        return NodeId(self.bits[:-1])
+        return NodeId._at(self.index >> 1)
 
     def prefix(self, length: int) -> "NodeId":
-        if not 0 <= length <= len(self.bits):
+        if not 0 <= length <= self.level:
             raise ValueError(f"prefix length {length} out of range")
-        return NodeId(self.bits[:length])
+        return NodeId._at(self.index >> (self.level - length))
 
     def precedes(self, other: "NodeId") -> bool:
         """True when self lies on the root path of other (or equals it)."""
-        return self.bits == other.bits[: len(self.bits)]
+        shift = other.level - self.level
+        return shift >= 0 and other.index >> shift == self.index
 
     def comparable(self, other: "NodeId") -> bool:
         return self.precedes(other) or other.precedes(self)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bin(self.index)[3:]
 
     def __repr__(self) -> str:
         return f"NodeId({str(self)!r})"
@@ -91,17 +114,12 @@ def node_at(n: int) -> NodeId:
     """
     if n < 1:
         raise ValueError(f"enumeration index must be >= 1, got {n}")
-    k = n.bit_length() - 1
-    j = n - (1 << k)
-    return NodeId(tuple((j >> (k - 1 - i)) & 1 for i in range(k)))
+    return NodeId._at(n)
 
 
 def index_of(node: NodeId) -> int:
     """Inverse of node_at: the 1-based enumeration index of a node."""
-    j = 0
-    for b in node.bits:
-        j = (j << 1) | b
-    return (1 << node.level) + j
+    return node.index
 
 
 def successor(node: NodeId) -> NodeId:
@@ -153,7 +171,8 @@ class Segment:
 
     def nodes(self) -> list[NodeId]:
         """All nodes of the segment in top-down order."""
-        return [self.end.prefix(k) for k in range(self.start.level, self.end.level + 1)]
+        end, depth = self.end.index, self.end.level
+        return [NodeId._at(end >> (depth - k)) for k in range(self.start.level, depth + 1)]
 
     def contains(self, node: NodeId) -> bool:
         return self.start.precedes(node) and node.precedes(self.end)
@@ -186,21 +205,29 @@ class BranchPrefix:
 
     def bit_at(self, i: int) -> int:
         """Bit i (0-based from the root) of the branch's direction sequence."""
-        if i < self.stem.level:
-            return self.stem.bits[i]
-        j = i - self.stem.level
+        stem = self.stem
+        if i < stem.level:
+            return (stem.index >> (stem.level - 1 - i)) & 1
+        j = i - stem.level
         return self.tail[j] if j < len(self.tail) else self.tail[-1]
 
     def node_at_level(self, k: int) -> NodeId:
         """The branch's unique node at level k (k >= stem level)."""
-        if k < self.stem.level:
+        depth = k - self.stem.level
+        if depth < 0:
             raise ValueError(f"branch has no node above its stem (level {k})")
-        return NodeId(tuple(self.bit_at(i) for i in range(k)))
+        index = self.stem.index
+        for b in self.tail[:depth]:
+            index = 2 * index + b
+        repeat = depth - len(self.tail)
+        if repeat > 0:
+            # append `repeat` copies of the last bit b: (v + b) * 2**r - b
+            last = self.tail[-1]
+            index = ((index + last) << repeat) - last
+        return NodeId._at(index)
 
     def contains(self, node: NodeId) -> bool:
-        if node.level < self.stem.level:
-            return False
-        return all(node.bits[i] == self.bit_at(i) for i in range(node.level))
+        return node.level >= self.stem.level and node == self.node_at_level(node.level)
 
     def __str__(self) -> str:
         return f"{self.stem}~{''.join(str(b) for b in self.tail)}"
@@ -209,39 +236,21 @@ class BranchPrefix:
 Interval = Union[Segment, BranchPrefix]
 
 
-def _segments_disjoint(a: Segment, b: Segment) -> bool:
-    # Two chains intersect iff one's top endpoint lies inside the other.
-    return not (b.contains(a.start) or a.contains(b.start))
-
-
-def _common_direction_length(a: BranchPrefix, b: BranchPrefix) -> float:
-    """Length of the common prefix of two branch direction sequences.
-
-    Returns math-style infinity when the directions coincide; both are
-    eventually constant, so agreement past every explicit bit is final.
-    """
-    horizon = max(a.stem.level + len(a.tail), b.stem.level + len(b.tail))
-    for i in range(horizon + 1):
-        if a.bit_at(i) != b.bit_at(i):
-            return i
-    return float("inf")
-
-
 def disjoint(a: Interval, b: Interval) -> bool:
     """True when the two intervals share no node."""
     if isinstance(a, Segment) and isinstance(b, Segment):
-        return _segments_disjoint(a, b)
-    if isinstance(a, Segment) and isinstance(b, BranchPrefix):
+        # Two chains intersect iff one's top endpoint lies inside the other.
+        return not (b.contains(a.start) or a.contains(b.start))
+    if isinstance(a, Segment):
         a, b = b, a
+    # a is a branch.  Both intervals are chains closed under prefixes down
+    # to their top level, so they meet iff they meet at the first level
+    # where both have a node.
     if isinstance(b, Segment):
-        # branch a vs segment b: a common node is a segment node at some
-        # level L >= stem level whose bits follow the branch direction.
         lo = max(a.stem.level, b.start.level)
-        if lo > b.end.level:
-            return True
-        return any(b.end.bits[i] != a.bit_at(i) for i in range(lo))
+        return lo > b.end.level or a.node_at_level(lo) != b.end.prefix(lo)
     lo = max(a.stem.level, b.stem.level)
-    return _common_direction_length(a, b) < lo
+    return a.node_at_level(lo) != b.node_at_level(lo)
 
 
 def separation_level(
@@ -262,13 +271,12 @@ def separation_level(
         for j in range(i + 1, len(prefixes)):
             p, q = prefixes[i], prefixes[j]
             avail = min(p.level, q.level)
-            diverge = next(
-                (k for k in range(avail) if p.bits[k] != q.bits[k]), None
-            )
-            if diverge is None:
+            diff = p.prefix(avail).index ^ q.prefix(avail).index
+            if not diff:
                 raise InsufficientPrefixError(
                     f"insufficient prefix: {p!r} and {q!r} agree on all "
                     f"available bits"
                 )
-            n = max(n, diverge + 1)
+            # the highest differing bit is bit avail - diff.bit_length()
+            n = max(n, avail - diff.bit_length() + 1)
     return n

@@ -93,15 +93,9 @@ def norm_lower_upper(x: JTVector) -> tuple[Scalar, Scalar]:
 
 
 def candidate_segments(x: JTVector) -> list[Segment]:
-    """All segments with both endpoints in supp(x), in canonical order."""
-    supp = sorted(x.support(), key=index_of)
-    out = []
-    for s in supp:
-        for t in supp:
-            if s.precedes(t):
-                out.append(Segment(s, t))
-    out.sort(key=lambda seg: (index_of(seg.start), index_of(seg.end)))
-    return out
+    """All segments with both endpoints in supp(x), sorted by (start, end)."""
+    supp = sorted(x.support())
+    return [Segment(s, t) for s in supp for t in supp if s.precedes(t)]
 
 
 def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:

@@ -125,6 +125,16 @@ def test_norm_overflow_exits_2(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("literal", ["1e800000", "1e-800000"])
+def test_norm_rejects_huge_decimal_exponent(tmp_path, capsys, literal):
+    # refused before the exact backend expands 800,000 digits
+    vector = write(tmp_path, "x.json", f'{{"": {literal}}}')
+    assert run(["norm", vector]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert literal in json.loads(captured.err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -192,6 +202,14 @@ def test_eval_overflow_exits_2(tmp_path, capsys):
     vector = write(tmp_path, "x.json", OVERFLOW)
     assert run(["eval", functional, vector, "--backend", "float"]) == 2
     assert_one_error_line(capsys)
+
+
+def test_eval_does_not_need_the_norm(tmp_path, capsys):
+    # the squared norm overflows, but the evaluation itself is finite
+    functional = write(tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": "..0"}]}')
+    vector = write(tmp_path, "x.json", '{"": 1e308, "0": -1e308, "00": 1e308}')
+    assert run(["eval", functional, vector, "--backend", "float"]) == 0
+    assert out_doc(capsys) == {"value": 0.0, "value_decimal": 0.0}
 
 
 # ---------------------------------------------------------------------------

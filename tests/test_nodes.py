@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamestree.nodes import (
     ROOT,
@@ -264,3 +266,193 @@ def test_separation_level_respects_stem_levels():
 def test_separation_level_insufficient_prefix():
     with pytest.raises(InsufficientPrefixError):
         separation_level([NodeId((0,)), NodeId((0, 1))])
+
+
+# ---------------------------------------------------------------------------
+# properties against a reference model on plain bit tuples
+#
+# The model knows nothing of the packed encoding: a node is a tuple of
+# bits, its index is int("1" + bits, 2), s precedes t when s is a prefix
+# of t, nodes order by (length, bits), and a branch is the sequence
+# stem + tail with the last tail bit repeated.  Deep nodes (4,400 levels
+# and more) sit past the 4300-digit int-to-text limit, which base 2 is
+# exempt from.
+
+PROPERTY = settings(deadline=None, max_examples=60)
+SHALLOW = st.lists(st.integers(0, 1), max_size=10).map(tuple)
+DEEP = st.integers(4400, 4500).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(
+        lambda v: tuple(map(int, format(v, f"0{n}b")))
+    )
+)
+BITS = st.one_of(SHALLOW, DEEP)
+TAILS = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple)
+
+
+def m_text(bits):
+    return "".join(map(str, bits))
+
+
+def m_index(bits):
+    return int("1" + m_text(bits), 2)
+
+
+def m_precedes(s, t):
+    return t[: len(s)] == s
+
+
+def m_key(bits):
+    return (len(bits), bits)
+
+
+def m_branch_bit(stem, tail, i):
+    seq = stem + tail
+    return seq[i] if i < len(seq) else tail[-1]
+
+
+def m_in_branch(stem, tail, node):
+    return len(node) >= len(stem) and all(
+        b == m_branch_bit(stem, tail, i) for i, b in enumerate(node)
+    )
+
+
+def m_node_set(interval, horizon):
+    """Text forms of the interval's nodes, a branch cut at the horizon."""
+    if interval[0] == "segment":
+        _, start, end = interval
+        text, levels = m_text(end), range(len(start), len(end) + 1)
+    else:
+        _, stem, tail = interval
+        text = m_text(m_branch_bit(stem, tail, i) for i in range(horizon))
+        levels = range(len(stem), horizon + 1)
+    return {text[:level] for level in levels}
+
+
+def cut(draw, n):
+    """A cut point in 0..n, often one of the two ends."""
+    return draw(st.one_of(st.sampled_from((0, n)), st.integers(0, n)))
+
+
+@st.composite
+def related(draw, bits):
+    """A node that is often a prefix or a near miss of ``bits``."""
+    k = cut(draw, len(bits))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return bits[:k]
+    if kind == 1 and k:
+        return bits[: k - 1] + (1 - bits[k - 1],) + draw(SHALLOW)
+    return draw(BITS)
+
+
+PAIRS = BITS.flatmap(lambda t: st.tuples(related(t), st.just(t)))
+
+
+@st.composite
+def model_interval(draw, base):
+    """("segment", start, end) or ("branch", stem, tail), near ``base``."""
+    node = draw(related(base))
+    k = cut(draw, len(node))
+    if draw(st.booleans()):
+        return ("segment", node[:k], node)
+    # a tail that follows the node for a while, or an arbitrary one
+    follow = node[k : k + draw(st.integers(0, 3))]
+    tail = draw(st.one_of(TAILS, st.just(follow + (draw(st.integers(0, 1)),))))
+    return ("branch", node[:k], tail)
+
+
+def build(interval):
+    kind, a, b = interval
+    if kind == "segment":
+        return Segment(NodeId(a), NodeId(b))
+    return BranchPrefix(NodeId(a), b)
+
+
+@PROPERTY
+@given(BITS)
+def test_property_round_trips(bits):
+    node = NodeId(bits)
+    text = m_text(bits)
+    assert node.bits == bits and node.level == len(bits)
+    assert str(node) == text and NodeId.parse(text) == node
+    assert index_of(node) == node.index == m_index(bits)
+    assert node_at(m_index(bits)).bits == bits
+    assert node.is_root == (bits == ())
+
+
+@PROPERTY
+@given(st.one_of(PAIRS, st.tuples(BITS, BITS)))
+def test_property_order_is_enumeration(pair):
+    s, t = pair
+    a, b = NodeId(s), NodeId(t)
+    assert (a < b) == (m_key(s) < m_key(t))
+    assert (a <= b) == (m_key(s) <= m_key(t))
+    assert (a == b) == (s == t)
+    assert sorted([b, a]) == [NodeId(u) for u in sorted([t, s], key=m_key)]
+
+
+@PROPERTY
+@given(PAIRS)
+def test_property_precedes(pair):
+    s, t = pair
+    assert NodeId(s).precedes(NodeId(t)) == m_precedes(s, t)
+    assert NodeId(t).precedes(NodeId(s)) == m_precedes(t, s)
+
+
+@PROPERTY
+@given(BITS, st.data())
+def test_property_child_parent_prefix(bits, data):
+    node = NodeId(bits)
+    for b in (0, 1):
+        assert node.child(b).bits == bits + (b,)
+        assert node.child(b).parent() == node
+    if bits:
+        assert node.parent().bits == bits[:-1]
+    else:
+        with pytest.raises(ValueError):
+            node.parent()
+    k = data.draw(st.integers(0, len(bits)))
+    assert node.prefix(k).bits == bits[:k]
+    with pytest.raises(ValueError):
+        node.prefix(len(bits) + 1)
+
+
+@PROPERTY
+@given(BITS, st.data())
+def test_property_segment_nodes(end, data):
+    start = end[: cut(data.draw, len(end))]
+    nodes = Segment(NodeId(start), NodeId(end)).nodes()
+    text = m_text(end)
+    assert [str(n) for n in nodes] == [
+        text[:level] for level in range(len(start), len(end) + 1)
+    ]
+    assert nodes[0].bits == start
+
+
+@PROPERTY
+@given(BITS, TAILS, st.data())
+def test_property_branch_membership(base, tail, data):
+    stem = base[: cut(data.draw, len(base))]
+    branch = BranchPrefix(NodeId(stem), tail)
+    node = data.draw(related(base))
+    assert branch.contains(NodeId(node)) == m_in_branch(stem, tail, node)
+    k = len(stem) + data.draw(st.integers(0, len(tail) + 6))
+    assert branch.node_at_level(k).bits == tuple(
+        m_branch_bit(stem, tail, i) for i in range(k)
+    )
+    assert [branch.bit_at(i) for i in range(k)] == [
+        m_branch_bit(stem, tail, i) for i in range(k)
+    ]
+    if stem:
+        with pytest.raises(ValueError):
+            branch.node_at_level(len(stem) - 1)
+
+
+@PROPERTY
+@given(BITS.flatmap(lambda base: st.tuples(model_interval(base), model_interval(base))))
+def test_property_disjoint_is_empty_intersection(pair):
+    a, b = pair
+    horizon = 2 + max(len(iv[1]) + len(iv[2]) for iv in pair)
+    expected = not (m_node_set(a, horizon) & m_node_set(b, horizon))
+    assert disjoint(build(a), build(b)) == expected
+    assert disjoint(build(b), build(a)) == expected
