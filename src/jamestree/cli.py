@@ -1,8 +1,8 @@
 """Command-line front end: JSON in, JSON out.
 
 Exit codes: 0 on success, 1 when a check battery fails, 2 for malformed
-or invalid input.  Every error is one machine-readable {"error": ...}
-line on stderr.
+or invalid input and for results beyond binary64.  Every error is one
+machine-readable {"error": ...} line on stderr.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from .nodes import (
     disjoint,
     separation_level,
 )
-from .norm import jt_norm
+from .norm import eval_interval, jt_norm
 from .vectors import (
     EXACT,
     BackendMismatchError,
@@ -40,15 +40,6 @@ from .vectors import (
 
 class InvalidKStarError(ValueError):
     """Raised when a combination breaks the l2 bound or interval disjointness."""
-
-
-def eval_interval(interval: Interval, x: JTVector) -> Scalar:
-    """I*(x) = sum of x_s over support nodes s lying in the interval."""
-    total = zero_scalar(x.backend)
-    for node, value in x.items():
-        if interval.contains(node):
-            total += value
-    return total
 
 
 def branch_through(prefix: NodeId) -> BranchPrefix:

@@ -25,12 +25,10 @@ from .norm import brute_force_norm, jt_norm
 from .functionals import KStarElement, eval_interval, interval_to_json
 from .vectors import (
     EXACT,
-    FLOAT,
     JTVector,
     Scalar,
     basis_vector,
     scalar_to_json,
-    zero_scalar,
 )
 
 
@@ -122,11 +120,7 @@ def random_kstar(
             interval = BranchPrefix(stem, tail)
         terms.append((w, interval))
     scale = max(1, weight_sq + rng.choice((0, 0, 1, 4)))
-    if backend == FLOAT:
-        return KStarElement.from_terms(
-            [(float(w), iv) for w, iv in terms], FLOAT, float(scale)
-        )
-    return KStarElement.from_terms(terms, EXACT, scale)
+    return KStarElement.from_terms(terms, backend, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +163,11 @@ class BlockSequence:
         blocks = tuple(blocks)
         if not blocks:
             raise ValueError("need at least one block")
-        spans = []
-        for u in blocks:
-            idx = sorted(index_of(node) for node in u.support())
-            if not idx:
-                raise ValueError("blocks must be nonzero")
-            spans.append((idx[0], idx[-1]))
-        boundaries = [spans[0][0] - 1]
-        for lo, hi in spans:
-            boundaries.append(hi)
-        return cls(blocks, tuple(boundaries))
+        if any(u.is_zero for u in blocks):
+            raise ValueError("blocks must be nonzero")
+        first = min(index_of(node) for node in blocks[0].support())
+        ends = [max(index_of(node) for node in u.support()) for u in blocks]
+        return cls(blocks, (first - 1, *ends))
 
     @property
     def backend(self) -> str:
@@ -186,32 +175,31 @@ class BlockSequence:
 
     def combine(self, coefficients: Sequence) -> JTVector:
         """sum_i coefficients[i] * block_i (prefix if fewer coefficients)."""
-        total = JTVector.zero(self.backend)
+        # block supports are disjoint, so the scaled entries never collide
+        entries: dict[NodeId, Scalar] = {}
         for c, u in zip(coefficients, self.blocks):
-            total = total + u.scale(c)
-        return total
+            entries.update(u.scale(c).entries)
+        return JTVector(entries, self.backend)
 
 
 def standard_basis_blocks(count: int, backend: str = EXACT) -> BlockSequence:
-    blocks = tuple(basis_vector(node_at(i), backend) for i in range(1, count + 1))
-    return BlockSequence(blocks, tuple(range(count + 1)))
+    return BlockSequence.from_blocks(
+        [basis_vector(node_at(i), backend) for i in range(1, count + 1)]
+    )
 
 
 def antichain_blocks(n: int, backend: str = EXACT) -> BlockSequence:
     """Singleton blocks on n same-level incomparable nodes."""
-    nodes = antichain_nodes(n)
-    blocks = tuple(basis_vector(node, backend) for node in nodes)
-    first = index_of(nodes[0])
-    boundaries = (first - 1,) + tuple(index_of(node) for node in nodes)
-    return BlockSequence(blocks, boundaries)
+    return BlockSequence.from_blocks(
+        [basis_vector(node, backend) for node in antichain_nodes(n)]
+    )
 
 
 def chain_blocks(n: int, backend: str = EXACT) -> BlockSequence:
     """Singleton blocks down the leftmost branch: levels 1..n."""
-    nodes = [node_at(1 << k) for k in range(1, n + 1)]
-    blocks = tuple(basis_vector(node, backend) for node in nodes)
-    boundaries = ((1 << 1) - 2,) + tuple(1 << k for k in range(1, n + 1))
-    return BlockSequence(blocks, boundaries)
+    return BlockSequence.from_blocks(
+        [basis_vector(node_at(1 << k), backend) for k in range(1, n + 1)]
+    )
 
 
 def random_block_sequence(
@@ -251,6 +239,13 @@ class ExperimentReport:
         }
 
 
+def _report(name: str, parameters: dict, records: list) -> ExperimentReport:
+    """A report that passes when every record is ok."""
+    return ExperimentReport(
+        name, parameters, tuple(records), all(r["ok"] for r in records)
+    )
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -268,8 +263,8 @@ def basic_sequence_constant(
     K = len(blocks.blocks)
     if K == 1:
         return 1.0
-    best_ratio = None
-    draws = [[Fraction(1)] + [Fraction(0)] * (K - 1)]
+    best_ratio = 1  # what coefficients vanishing beyond n give
+    draws = []
     for i in range(samples):
         rng = substream(seed, i)
         lam = [random_rational(rng) for _ in range(K)]
@@ -278,20 +273,16 @@ def basic_sequence_constant(
         draws.append(lam)
     for lam in draws:
         coeffs = lam if blocks.backend == EXACT else [float(c) for c in lam]
-        norms_sq = []
-        y = JTVector.zero(blocks.backend)
-        for c, u in zip(coeffs, blocks.blocks):
-            y = y + u.scale(c)
-            norms_sq.append(jt_norm(y).value_squared)
+        norms_sq = [
+            jt_norm(blocks.combine(coeffs[:n])).value_squared for n in range(1, K + 1)
+        ]
         for n in range(K - 1):
             for m in range(n + 1, K):
                 if norms_sq[m] == 0:
                     continue
                 ratio = norms_sq[n] / norms_sq[m]
-                if best_ratio is None or ratio > best_ratio:
+                if ratio > best_ratio:
                     best_ratio = ratio
-    if best_ratio is None:
-        return 1.0
     return math.sqrt(float(best_ratio))
 
 
@@ -460,34 +451,25 @@ def w_cauchy_probe(
 def run_oracle_vs_dp(seed: int = 0, trials: int | None = None) -> ExperimentReport:
     trials = 100 if trials is None else trials
     records = []
-    verdict = True
     for i in range(trials):
         rng = substream(seed, i)
         x = random_vector(rng)
         dp = jt_norm(x)
         oracle = brute_force_norm(x, max_candidates=64)
-        ok = dp.value_squared == oracle.value_squared
-        verdict = verdict and ok
         records.append(
             {
                 "trial": i,
                 "value_squared": scalar_to_json(oracle.value_squared),
-                "ok": ok,
+                "ok": dp.value_squared == oracle.value_squared,
             }
         )
-    return ExperimentReport(
-        name="oracle-vs-dp",
-        parameters={"trials": trials, "seed": seed},
-        records=tuple(records),
-        verdict=verdict,
-    )
+    return _report("oracle-vs-dp", {"trials": trials, "seed": seed}, records)
 
 
 def run_lemma_estimates(seed: int = 0, trials: int | None = None) -> ExperimentReport:
     """Random checks of ||s_k||^2 + ||x - s_k||^2 <= ||x||^2, zero tolerance."""
     trials = 100 if trials is None else trials
     records = []
-    verdict = True
     for i in range(trials):
         rng = substream(seed, i)
         x = random_vector(rng)
@@ -496,8 +478,6 @@ def run_lemma_estimates(seed: int = 0, trials: int | None = None) -> ExperimentR
         head = jt_norm(s_k).value_squared
         tail = jt_norm(x - s_k).value_squared
         whole = jt_norm(x).value_squared
-        ok = head + tail <= whole
-        verdict = verdict and ok
         records.append(
             {
                 "trial": i,
@@ -505,21 +485,15 @@ def run_lemma_estimates(seed: int = 0, trials: int | None = None) -> ExperimentR
                 "head_sq": scalar_to_json(head),
                 "tail_sq": scalar_to_json(tail),
                 "whole_sq": scalar_to_json(whole),
-                "ok": ok,
+                "ok": head + tail <= whole,
             }
         )
-    return ExperimentReport(
-        name="lemma-estimates",
-        parameters={"trials": trials, "seed": seed},
-        records=tuple(records),
-        verdict=verdict,
-    )
+    return _report("lemma-estimates", {"trials": trials, "seed": seed}, records)
 
 
 def run_basis_constant(seed: int = 0, trials: int | None = None) -> ExperimentReport:
     trials = 30 if trials is None else trials
     records = []
-    verdict = True
     cases = {
         "standard-basis-8": standard_basis_blocks(8),
         "antichain-8": antichain_blocks(8),
@@ -527,15 +501,8 @@ def run_basis_constant(seed: int = 0, trials: int | None = None) -> ExperimentRe
     }
     for label, blocks in cases.items():
         k_hat = basic_sequence_constant(blocks, samples=trials, seed=seed)
-        ok = k_hat <= 1.0 + 1e-9
-        verdict = verdict and ok
-        records.append({"blocks": label, "constant": k_hat, "ok": ok})
-    return ExperimentReport(
-        name="basis-constant",
-        parameters={"trials": trials, "seed": seed},
-        records=tuple(records),
-        verdict=verdict,
-    )
+        records.append({"blocks": label, "constant": k_hat, "ok": k_hat <= 1.0 + 1e-9})
+    return _report("basis-constant", {"trials": trials, "seed": seed}, records)
 
 
 def run_l1_decay(seed: int = 0, trials: int | None = None) -> ExperimentReport:
@@ -544,20 +511,13 @@ def run_l1_decay(seed: int = 0, trials: int | None = None) -> ExperimentReport:
     blocks = antichain_blocks(max(ns))
     constants = l1_lower_constants(blocks, ns, budget=budget, seed=seed)
     records = []
-    verdict = True
     prev = None
     for n in ns:
         c = constants[n]
         ok = c * math.sqrt(n) <= 1.0 + 1e-9 and (prev is None or c <= prev + 1e-12)
-        verdict = verdict and ok
         records.append({"n": n, "constant": c, "scaled": c * math.sqrt(n), "ok": ok})
         prev = c
-    return ExperimentReport(
-        name="l1-decay",
-        parameters={"budget": budget, "seed": seed, "ns": list(ns)},
-        records=tuple(records),
-        verdict=verdict,
-    )
+    return _report("l1-decay", {"budget": budget, "seed": seed, "ns": list(ns)}, records)
 
 
 def run_w_cauchy(seed: int = 0, trials: int | None = None) -> ExperimentReport:

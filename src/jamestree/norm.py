@@ -21,6 +21,9 @@ compute it:
   nodes changes neither its sum nor disjointness, so restricting to these
   candidates loses nothing.
 
+``eval_interval`` is the one sum of a vector over a segment or branch; it
+visits the support, not the interval's nodes.
+
 All arithmetic stays on squared values; on the exact backend no square
 root is ever taken, so oracle-vs-DP comparisons are literal equality.
 """
@@ -31,8 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .nodes import NodeId, Segment, disjoint, index_of, node_at
-from .vectors import JTVector, Scalar, zero_scalar
+from .nodes import Interval, Segment, disjoint, index_of, node_at
+from .vectors import FLOAT, JTVector, Scalar, zero_scalar
 
 SegmentFamily = tuple[Segment, ...]
 
@@ -56,8 +59,25 @@ class NormWitness:
 
     @property
     def value(self) -> float:
-        """Binary64 square root, for display; value_squared is the exact datum."""
-        return math.sqrt(float(self.value_squared))
+        """Binary64 square root, for display; value_squared is the exact datum.
+
+        An exact p/q beyond binary64 takes the root as isqrt(p*q)/q; a root
+        beyond binary64 raises OverflowError.
+        """
+        v = self.value_squared
+        try:
+            return math.sqrt(float(v))
+        except OverflowError:
+            return math.isqrt(v.numerator * v.denominator) / v.denominator
+
+
+def eval_interval(interval: Interval, x: JTVector) -> Scalar:
+    """I*(x) = sum of x_s over support nodes s lying in the interval."""
+    total = zero_scalar(x.backend)
+    for node, value in x.items():
+        if interval.contains(node):
+            total += value
+    return total
 
 
 def family_value_squared(x: JTVector, family: Iterable[Segment]) -> Scalar:
@@ -71,9 +91,7 @@ def family_value_squared(x: JTVector, family: Iterable[Segment]) -> Scalar:
                 )
     total = zero_scalar(x.backend)
     for seg in segs:
-        s = zero_scalar(x.backend)
-        for node in seg.nodes():
-            s += x.coordinate(node)
+        s = eval_interval(seg, x)
         total += s * s
     return total
 
@@ -117,9 +135,7 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
     keys = [(index_of(seg.start), index_of(seg.end)) for seg in cands]
     squares = []
     for seg in cands:
-        s = zero
-        for node in seg.nodes():
-            s += x.coordinate(node)
+        s = eval_interval(seg, x)
         squares.append(s * s)
 
     conflict = [0] * n  # bitmask of candidates overlapping candidate i
@@ -162,7 +178,6 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
         chosen.pop()
         search(i + 1, allowed, value)
 
-    consider(zero)
     search(0, (1 << n) - 1, zero)
 
     family = tuple(cands[i] for i in best_family)
@@ -233,9 +248,6 @@ def jt_norm(x: JTVector) -> NormWitness:
     backend.
     """
     zero = zero_scalar(x.backend)
-    if x.is_zero:
-        return NormWitness(zero, ())
-
     vals = {index_of(node): v for node, v in x.entries.items()}
     roots, children = _closure_forest(sorted(vals))
 
@@ -269,39 +281,33 @@ def jt_norm(x: JTVector) -> NormWitness:
     total = zero
     for r in roots:
         total = total + best[r]
+    if x.backend == FLOAT and not math.isfinite(total):
+        raise OverflowError("the squared norm overflows binary64")
 
-    # reconstruct one optimal all-closed family via back-pointers
-    raw_segments: list[tuple[int, int]] = []
+    # reconstruct one optimal all-closed family via back-pointers, walking
+    # each segment top-down to trim it to its support and sum it
+    family = []
     tasks = list(roots)
     while tasks:
-        u = tasks.pop()
-        j = best_idx[u]
-        top = u
-        cur = u
+        cur = tasks.pop()
+        j = best_idx[cur]
+        first = last = None
+        seg_sum = zero
         while True:
-            c, d, k, jj = options[cur][j]
+            if cur in vals:
+                if first is None:
+                    first = cur
+                last = cur
+                seg_sum = seg_sum + vals[cur]
+            _, _, k, jj = options[cur][j]
             for kid in children[cur]:
                 if kid != k:
                     tasks.append(kid)
             if k == FRESH:
-                bottom = cur
                 break
             cur, j = k, jj
-        raw_segments.append((top, bottom))
-
-    family = []
-    for top, bottom in raw_segments:
-        lt, lb = top.bit_length(), bottom.bit_length()
-        chain = [bottom >> (lb - l) for l in range(lt, lb + 1)]
-        inside = [i for i, nid in enumerate(chain) if nid in vals]
-        if not inside:
-            continue
-        total_sum = zero
-        for i in inside:
-            total_sum = total_sum + vals[chain[i]]
-        if total_sum == 0:
-            continue
-        family.append((chain[inside[0]], chain[inside[-1]]))
+        if seg_sum != 0:  # also drops segments without support nodes
+            family.append((first, last))
     family.sort()
     segments = tuple(Segment(node_at(a), node_at(b)) for a, b in family)
     return NormWitness(total, segments)

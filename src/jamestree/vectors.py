@@ -151,9 +151,9 @@ class JTVector:
 
     def scale(self, c) -> "JTVector":
         c = as_scalar(c, self.backend)
-        if c == 0:
-            return JTVector({}, self.backend)
-        return JTVector({n: c * v for n, v in self.entries.items()}, self.backend)
+        # zero products leave the support: c = 0, or a float underflow
+        out = {n: p for n, v in self.entries.items() if (p := c * v) != 0}
+        return JTVector(out, self.backend)
 
     def partial_sum(self, k: int) -> "JTVector":
         """Restriction to the first k nodes of the enumeration (1-based)."""

@@ -125,6 +125,20 @@ def test_norm_overflow_exits_2(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+def test_norm_exact_square_beyond_binary64(tmp_path, capsys):
+    vector = write(tmp_path, "x.json", '{"": 1e200}')
+    assert run(["norm", vector]) == 0
+    doc = out_doc(capsys)
+    assert doc["value"] == 1e200
+    assert doc["value_squared"] == str(10**400)
+
+
+def test_norm_exact_root_beyond_binary64_exits_2(tmp_path, capsys):
+    vector = write(tmp_path, "x.json", '{"": 1e400}')
+    assert run(["norm", vector]) == 2
+    assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("literal", ["1e800000", "1e-800000"])
 def test_norm_rejects_huge_decimal_exponent(tmp_path, capsys, literal):
     # refused before the exact backend expands 800,000 digits
@@ -201,6 +215,13 @@ def test_eval_overflow_exits_2(tmp_path, capsys):
     functional = write(tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": "..0"}]}')
     vector = write(tmp_path, "x.json", OVERFLOW)
     assert run(["eval", functional, vector, "--backend", "float"]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_eval_exact_beyond_binary64_exits_2(tmp_path, capsys):
+    functional = write(tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": ".."}]}')
+    vector = write(tmp_path, "x.json", '{"": 1e400}')
+    assert run(["eval", functional, vector]) == 2
     assert_one_error_line(capsys)
 
 

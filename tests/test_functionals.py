@@ -31,6 +31,7 @@ from jamestree.nodes import (
     Segment,
     node_at,
 )
+from jamestree import norm
 from jamestree.norm import jt_norm
 from jamestree.vectors import (
     EXACT,
@@ -68,6 +69,10 @@ def test_eval_interval_examples():
     # both nodes sit on the leftmost branch, so they cancel
     leftmost = BranchPrefix(ROOT, (0,))
     assert eval_interval(leftmost, vec({"0": 1, "000": -1})) == 0
+
+
+def test_eval_interval_is_the_norm_engines_sum():
+    assert eval_interval is norm.eval_interval
 
 
 def test_eval_interval_ignores_off_interval_nodes():

@@ -1,10 +1,13 @@
 """Experiment layer: generators, block sequences, constants, reports."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from jamestree import lab
+from jamestree.cli import run
 from jamestree.lab import (
     EXPERIMENTS,
     BlockSequence,
@@ -20,12 +23,13 @@ from jamestree.lab import (
     random_vector,
     run_check_suite,
     run_lemma_estimates,
+    run_oracle_vs_dp,
     standard_basis_blocks,
     substream,
     w_cauchy_probe,
 )
 from jamestree.nodes import ROOT, BranchPrefix, NodeId, Segment, index_of, node_at
-from jamestree.norm import jt_norm
+from jamestree.norm import NormWitness, jt_norm
 from jamestree.vectors import EXACT, FLOAT, JTVector, basis_vector
 
 
@@ -109,6 +113,22 @@ def test_block_sequence_windows():
     assert prefix == vec({"": 2, "0": 4})
 
 
+def test_combine_equals_the_sum_of_scaled_blocks():
+    rng = substream(5, 0)
+    for backend in (EXACT, FLOAT):
+        blocks = random_block_sequence(rng, count=4, backend=backend)
+        coeffs = [random_rational(rng) for _ in range(4)]
+        if backend == FLOAT:
+            coeffs = [float(c) for c in coeffs]
+        for n in range(5):
+            total = JTVector.zero(backend)
+            for c, u in zip(coeffs[:n], blocks.blocks):
+                total = total + u.scale(c)
+            assert blocks.combine(coeffs[:n]) == total
+    tiny = BlockSequence.from_blocks([vec({"": 1e-200}, FLOAT), vec({"0": 1.0}, FLOAT)])
+    assert tiny.combine([1e-200, 1.0]).support() == {node_at(2)}
+
+
 def test_block_sequence_rejects_bad_shapes():
     u = vec({"": 1})
     w = vec({"0": 1})
@@ -146,6 +166,12 @@ def test_stock_block_constructors():
     rng = substream(11, 3)
     rand = random_block_sequence(rng, count=4, window=4)
     assert rand.boundaries == (0, 4, 8, 12, 16)
+
+
+def test_stock_blocks_take_the_tightest_boundaries():
+    assert standard_basis_blocks(4).boundaries == (0, 1, 2, 3, 4)
+    assert antichain_blocks(4).boundaries == (3, 4, 5, 6, 7)
+    assert chain_blocks(3).boundaries == (1, 2, 4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +310,20 @@ def test_check_suite_all_pass():
         "w-cauchy",
     ]
     assert all(r.verdict for r in reports)
+
+
+def test_inflated_oracle_fails_the_verdict(monkeypatch, capsys):
+    exact = lab.brute_force_norm
+
+    def inflated(x, max_candidates=22):
+        w = exact(x, max_candidates=max_candidates)
+        return NormWitness(w.value_squared + 1, w.family)
+
+    monkeypatch.setattr(lab, "brute_force_norm", inflated)
+    report = run_oracle_vs_dp(trials=3)
+    assert report.verdict is False
+    assert [r["ok"] for r in report.records] == [False] * 3
+    assert run(["check", "--seed", "0"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "fail"
+    assert [c["verdict"] for c in doc["checks"]] == ["fail"] + ["pass"] * 4

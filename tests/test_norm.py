@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jamestree.nodes import NodeId, Segment, index_of, node_at
 from jamestree.norm import (
     InstanceTooLargeError,
+    NormWitness,
     OverlappingSegmentsError,
     brute_force_norm,
     candidate_segments,
@@ -264,3 +267,120 @@ def test_float_backend_end_to_end():
     lo, hi = norm_lower_upper(x)
     assert lo <= w.value_squared <= hi
     assert w.value == math.sqrt(w.value_squared)
+
+
+def test_float_overflow_raises():
+    # the envelope shifts meet inf - inf here, so the float total is nan
+    x = vec({"": 1e308, "0": -1e308, "00": 1e308}, FLOAT)
+    with pytest.raises(OverflowError):
+        jt_norm(x)
+
+
+def test_value_beyond_binary64_square():
+    assert NormWitness(Fraction(10**400), ()).value == 1e200
+    third = NormWitness(Fraction(10**400, 3), ()).value
+    assert math.isclose(third, 1e200 / math.sqrt(3), rel_tol=1e-15)
+    with pytest.raises(OverflowError):
+        NormWitness(Fraction(10**800), ()).value
+
+
+# ---------------------------------------------------------------------------
+# DP against the oracle on adversarial shapes
+#
+# Each generator returns {enumeration index: dyadic rational} with at most
+# 8 support nodes, so the oracle sees at most 36 candidates, and every
+# value is exact in binary64, so the float DP runs on the same inputs.
+
+PROPERTY = settings(deadline=None, max_examples=40)
+DYADIC = st.builds(
+    lambda n, k: Fraction(n, 1 << k),
+    st.integers(-16, 16).filter(bool),
+    st.integers(0, 4),
+)
+
+
+def path_end(draw, depth):
+    """Index of a random node at the given depth."""
+    return (1 << depth) | draw(st.integers(0, (1 << depth) - 1))
+
+
+@st.composite
+def deep_chains(draw):
+    depth = draw(st.integers(0, 5000))
+    end = path_end(draw, depth)
+    levels = draw(st.lists(st.integers(0, depth), min_size=1, max_size=8, unique=True))
+    values = draw(st.lists(DYADIC, min_size=len(levels), max_size=len(levels)))
+    return {end >> (depth - level): v for level, v in zip(levels, values)}
+
+
+@st.composite
+def planted_zero_sums(draw):
+    depth = draw(st.integers(1, 40))
+    end = path_end(draw, depth)
+    levels = draw(st.lists(st.integers(0, depth), min_size=2, max_size=5, unique=True))
+    values = draw(st.lists(DYADIC, min_size=len(levels) - 1, max_size=len(levels) - 1))
+    values.append(-sum(values))  # the chain's support sums to exactly 0
+    entries = {end >> (depth - level): v for level, v in zip(sorted(levels), values)}
+    for index in draw(st.lists(st.integers(1, (2 << depth) - 1), max_size=3)):
+        entries.setdefault(index, draw(DYADIC))
+    return entries
+
+
+@st.composite
+def alternating_chains(draw):
+    n = draw(st.integers(1, 8))
+    depth = draw(st.integers(n - 1, 60))
+    end = path_end(draw, depth)
+    levels = draw(st.lists(st.integers(0, depth), min_size=n, max_size=n, unique=True))
+    return {
+        end >> (depth - level): Fraction((-1) ** i * (i + 1))
+        for i, level in enumerate(sorted(levels))
+    }
+
+
+@st.composite
+def antichains_under_an_ancestor(draw):
+    top_level = draw(st.integers(0, 6))
+    top = path_end(draw, top_level)
+    gap = draw(st.integers(3, 10))
+    offsets = draw(st.lists(st.integers(0, (1 << gap) - 1), min_size=1, max_size=7, unique=True))
+    entries = {(top << gap) | offset: draw(DYADIC) for offset in offsets}
+    entries[top] = draw(DYADIC)
+    return entries
+
+
+def check_dp_against_oracle(entries):
+    x = vec({node_at(i): v for i, v in entries.items()})
+    w = jt_norm(x)
+    assert w.value_squared == brute_force_norm(x, max_candidates=64).value_squared
+    assert family_value_squared(x, w.family) == w.value_squared
+    for seg in w.family:
+        assert seg.start in x.entries and seg.end in x.entries
+        assert sum(v for node, v in x.entries.items() if seg.contains(node)) != 0
+    approx = jt_norm(x.to_float()).value_squared
+    assert math.isclose(approx, float(w.value_squared), rel_tol=1e-12)
+
+
+@PROPERTY
+@given(deep_chains())
+@example({1: Fraction(1), 1 << 2500: Fraction(-2), 1 << 5000: Fraction(3)})
+def test_property_dp_equals_oracle_on_deep_chains(entries):
+    check_dp_against_oracle(entries)
+
+
+@PROPERTY
+@given(planted_zero_sums())
+def test_property_dp_equals_oracle_on_zero_sum_segments(entries):
+    check_dp_against_oracle(entries)
+
+
+@PROPERTY
+@given(alternating_chains())
+def test_property_dp_equals_oracle_on_alternating_chains(entries):
+    check_dp_against_oracle(entries)
+
+
+@PROPERTY
+@given(antichains_under_an_ancestor())
+def test_property_dp_equals_oracle_on_wide_antichains(entries):
+    check_dp_against_oracle(entries)

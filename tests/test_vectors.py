@@ -50,6 +50,11 @@ def test_scale_examples():
     assert (-x).coordinate(NodeId((0,))) == Fraction(-3, 2)
 
 
+def test_scale_drops_float_underflow():
+    x = JTVector.from_entries({"": 1e-200, "0": 1.0}, FLOAT)
+    assert x.scale(1e-200).support() == {NodeId((0,))}
+
+
 def test_backend_mismatch_rejected():
     x = JTVector.from_entries({"": 1}, EXACT)
     y = JTVector.from_entries({"": 1.0}, FLOAT)
