@@ -42,7 +42,7 @@ for k in (1, 2, 3, 200):
     s_k = x.partial_sum(k)
     print(f"||s_{k}||^2 =", jt_norm(s_k).value_squared)
 
-# the float backend runs the same dynamic program on binary64
+# the float backend runs the same integer dynamic program and rounds once
 xf = x.to_float()
 print("float backend:", jt_norm(xf).value_squared, "vs exact", float(witness.value_squared))
 assert math.isclose(jt_norm(xf).value_squared, float(witness.value_squared), rel_tol=1e-9)

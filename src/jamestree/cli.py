@@ -8,6 +8,7 @@ machine-readable {"error": ...} line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,7 +52,11 @@ def _cmd_eval(args) -> int:
     k = load_kstar(args.functional, args.backend)
     x = load_vector(args.vector, args.backend)
     value = eval_kstar(k, x)
-    _emit({"value": scalar_to_json(value), "value_decimal": float(value)})
+    try:
+        decimal = float(value)
+    except OverflowError:
+        raise OverflowError("the value of the functional exceeds binary64") from None
+    _emit({"value": scalar_to_json(value), "value_decimal": decimal})
     return 0
 
 
@@ -88,6 +93,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+@functools.cache  # built once: a parser is full of cycles only the cyclic collector frees
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jamestree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

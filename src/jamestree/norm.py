@@ -7,13 +7,16 @@ The squared norm of a finitely supported vector x is the maximum of
 over finite families {F_i} of pairwise disjoint segments.  Two engines
 compute it:
 
-* ``jt_norm(x)`` runs a dynamic program over the support
-  closure forest (every node lying on a chain between two support nodes,
-  rooted at the minimal support nodes).  Per node it keeps the best
-  all-closed value plus a set of "open segment" states; a state (c, d)
-  closed later above with accumulated ancestor sum a is worth
-  (a + c)^2 + d, linear in a once the common a^2 is dropped, so the state
-  set is pruned to the upper envelope of the lines a -> 2c*a + (c^2 + d).
+* ``jt_norm(x)`` solves it as a maximum-square path partition of the
+  support forest, where a support node's parent is its deepest proper
+  support ancestor: adding a disjoint segment never lowers the value, and
+  trimmed segments meet iff their support nodes do.  With P(b) the sum of
+  x over b's root path and q the value of P above a path's top, a path
+  down to b is worth q^2 + (-2P(b)*q + P(b)^2 + rest), a line in q, so a
+  mergeable Li Chao tree per subtree finds each node's best path.  Both
+  backends run it on integers: every value is p/q, the DP scales by the
+  lcm L of the denominators and divides by L^2 once, so a float result is
+  the correctly rounded exact optimum of its binary64 inputs.
 
 * ``brute_force_norm`` exhaustively searches disjoint subfamilies of the
   candidate segments (both endpoints in the support) and is the oracle
@@ -32,14 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable
 
 from .nodes import Interval, Segment, disjoint, index_of, node_at
-from .vectors import FLOAT, JTVector, Scalar, zero_scalar
+from .vectors import EXACT, JTVector, Scalar, zero_scalar
 
 SegmentFamily = tuple[Segment, ...]
-
-FRESH = -1
 
 
 class OverlappingSegmentsError(ValueError):
@@ -61,14 +63,17 @@ class NormWitness:
     def value(self) -> float:
         """Binary64 square root, for display; value_squared is the exact datum.
 
-        An exact p/q beyond binary64 takes the root as isqrt(p*q)/q; a root
-        beyond binary64 raises OverflowError.
+        A p/q that float(p/q) would overflow or round toward zero takes the
+        root as isqrt(p*q)/q, where p*q has over 1,000 bits; a root beyond
+        binary64 raises OverflowError.
         """
-        v = self.value_squared
+        p, q = self.value_squared.as_integer_ratio()
+        if abs(p.bit_length() - q.bit_length()) < 1020:
+            return math.sqrt(p / q)
         try:
-            return math.sqrt(float(v))
+            return math.isqrt(p * q) / q
         except OverflowError:
-            return math.isqrt(v.numerator * v.denominator) / v.denominator
+            raise OverflowError("the norm exceeds binary64") from None
 
 
 def eval_interval(interval: Interval, x: JTVector) -> Scalar:
@@ -155,88 +160,55 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
     best_family: list[int] = []
     chosen: list[int] = []
 
-    def consider(value) -> None:
-        nonlocal best_value, best_rank, best_family
-        rank = (len(chosen), [keys[i] for i in chosen])
-        if value > best_value or (value == best_value and rank < best_rank):
-            best_value = value
-            best_rank = rank
-            best_family = list(chosen)
-
-    def search(i: int, allowed: int, value) -> None:
+    # depth-first, taking candidate i before skipping it; a stack entry is
+    # (next candidate, still allowed, value so far, len(chosen) on its path)
+    stack = [(0, (1 << n) - 1, zero, 0)]
+    while stack:
+        i, allowed, value, depth = stack.pop()
+        del chosen[depth:]
         while i < n and not (allowed >> i) & 1:
             i += 1
-        if i == n:
-            return
         # strict prune only, so equal-value families stay in tie-break play
-        if value + potential[i] < best_value:
-            return
+        if i == n or value + potential[i] < best_value:
+            continue
+        stack.append((i + 1, allowed, value, depth))
         chosen.append(i)
         taken = value + squares[i]
-        consider(taken)
-        search(i + 1, allowed & ~conflict[i], taken)
-        chosen.pop()
-        search(i + 1, allowed, value)
-
-    search(0, (1 << n) - 1, zero)
+        rank = (len(chosen), [keys[k] for k in chosen])
+        if taken > best_value or (taken == best_value and rank < best_rank):
+            best_value, best_rank, best_family = taken, rank, list(chosen)
+        stack.append((i + 1, allowed & ~conflict[i], taken, depth + 1))
 
     family = tuple(cands[i] for i in best_family)
     return NormWitness(best_value, family)
 
 
-def _upper_envelope(options: list) -> list:
-    """Keep the options whose lines 2c*a + (c^2+d) form the upper envelope."""
-    if len(options) <= 1:
-        return list(options)
-    decorated = []
-    for j, opt in enumerate(options):
-        c, d = opt[0], opt[1]
-        decorated.append((2 * c, c * c + d, j, opt))
-    decorated.sort(key=lambda t: (t[0], -t[1], t[2]))
-    stack: list = []
-    for m, b, _, opt in decorated:
-        if stack and stack[-1][0] == m:
-            continue  # flatter duplicate slope, intercept no larger
-        while len(stack) >= 2:
-            m1, b1, _ = stack[-2]
-            m2, b2, _ = stack[-1]
-            # middle line never strictly above the outer two
-            if (b1 - b2) * (m - m2) >= (b2 - b) * (m2 - m1):
-                stack.pop()
-            else:
-                break
-        stack.append((m, b, opt))
-    return [opt for _, _, opt in stack]
+def _merge(t: list, u, d: int, lo: int, hi: int, points: list, slope: list) -> list:
+    """Li Chao tree u, whose lines read d higher in t's frame, merged into t.
 
-
-def _closure_forest(ids: Sequence[int]) -> tuple[list[int], dict[int, list[int]]]:
-    """Support closure as packed enumeration indices.
-
-    Returns (roots, children); roots are the minimal support nodes and the
-    closure is every node on a chain from a root down to a support node.
-    Packed index arithmetic: parent of id v is v >> 1.
+    Both span points[lo..hi].  A node [b, c, tag, left, right] holds the line
+    a -> c - slope[b]*a, and tag is an add its subtrees still owe.
     """
-    supp = set(ids)
-    minimal = set()
-    for t in ids:
-        cur = t >> 1
-        while cur and cur not in supp:
-            cur >>= 1
-        if not cur:
-            minimal.add(t)
-    closure: set[int] = set()
-    for t in ids:
-        cur = t
-        while cur not in closure:
-            closure.add(cur)
-            if cur in minimal:
-                break
-            cur >>= 1
-    children: dict[int, list[int]] = {v: [] for v in closure}
-    for v in sorted(closure):
-        if v not in minimal:
-            children[v >> 1].append(v)
-    return sorted(minimal), children
+    if u is None:
+        return t
+    if t is None:
+        u[1] += d
+        u[2] += d
+        return u
+    inner, mid = d + u[2] - t[2], (lo + hi) >> 1
+    t[3] = _merge(t[3], u[3], inner, lo, mid, points, slope)
+    t[4] = _merge(t[4], u[4], inner, mid + 1, hi, points, slope)
+    # u's own line: the loser at mid can win on one side only
+    b, c, a = u[0], u[1] + d, points[mid]
+    if c - slope[b] * a > t[1] - slope[t[0]] * a:  # an equal line stays out
+        t[0], b, t[1], c = b, t[0], c, t[1]
+    if lo < hi and slope[b] != slope[t[0]]:
+        line = [b, c - t[2], 0, None, None]
+        if slope[b] > slope[t[0]]:  # the faster-falling line wins left of mid
+            t[3] = _merge(t[3], line, 0, lo, mid, points, slope)
+        else:
+            t[4] = _merge(t[4], line, 0, mid + 1, hi, points, slope)
+    return t
 
 
 def jt_norm(x: JTVector) -> NormWitness:
@@ -244,70 +216,78 @@ def jt_norm(x: JTVector) -> NormWitness:
 
     Handles any finite support.  The witness is trimmed to support
     endpoints, stripped of zero-sum segments, and sorted by (start index,
-    end index); its value always matches the optimum exactly on the exact
-    backend.
+    end index).  The value is exact on the exact backend and the correctly
+    rounded exact optimum on the float backend.
     """
-    zero = zero_scalar(x.backend)
     vals = {index_of(node): v for node, v in x.entries.items()}
-    roots, children = _closure_forest(sorted(vals))
+    width = max(vals, default=0).bit_length()
+    ids = sorted(vals, key=lambda v: (v << (width - v.bit_length()), v))  # preorder
+    n = len(ids)
+    ratios = [vals[v].as_integer_ratio() for v in ids]
+    scale = math.lcm(*(q for _, q in ratios))
 
-    order = sorted(children, reverse=True)  # children have larger ids than parents
-    best: dict[int, Scalar] = {}
-    best_idx: dict[int, int] = {}
-    options: dict[int, list] = {}
+    # support forest on positions 0..n-1: a node's parent is its deepest proper
+    # support ancestor, the last (subtree's padded key end, position) on the stack
+    parent = [-1] * n
+    prefix = [0] * n  # sum of the lifted values over the root path
+    stack: list[tuple[int, int]] = []
+    for i, v in enumerate(ids):
+        pad = width - v.bit_length()
+        while stack and v << pad >= stack[-1][0]:
+            stack.pop()
+        p, q = ratios[i]
+        parent[i] = stack[-1][1] if stack else -1
+        prefix[i] = p * (scale // q) + (prefix[parent[i]] if stack else 0)
+        stack.append(((v + 1) << pad, i))
+    above = [prefix[p] if p >= 0 else 0 for p in parent]
+    points = sorted(set(above))
+    last = len(points) - 1
+    slope = [2 * p for p in prefix]  # a path down to b is the line c - slope[b]*a
 
-    for v in order:
-        kids = children[v]
-        b_sum = zero
-        for k in kids:
-            b_sum = b_sum + best[k]
-        xv = vals.get(v, zero)
-        raw = [(xv, b_sum, FRESH, FRESH)]
-        for k in kids:
-            delta = b_sum - best[k]
-            for j, opt in enumerate(options[k]):
-                raw.append((xv + opt[0], opt[1] + delta, k, j))
-        pruned = _upper_envelope(raw)
-        options[v] = pruned
-        bi = 0
-        bv = None
-        for j, opt in enumerate(pruned):
-            val = opt[0] * opt[0] + opt[1]
-            if bv is None or val > bv:
-                bi, bv = j, val
-        best[v] = bv
-        best_idx[v] = bi
+    # bottom-up: best[i] is the max over paths i..b of (P(b) - above[i])^2
+    # plus the best of every subtree off the path.  A node's tree holds its
+    # lines less below[i]; passing it up adds the siblings' best to them.
+    tree: list = [None] * n
+    below = [0] * n  # sum of the children's best
+    best = [0] * n
+    end = [0] * n  # bottom of the path attaining best
+    for i in range(n - 1, -1, -1):
+        t = _merge(tree[i], [i, prefix[i] ** 2, 0, None, None], 0, 0, last, points, slope)
+        a, lo, hi, node, acc, top = above[i], 0, last, t, 0, None
+        while node is not None:
+            value = node[1] + acc - slope[node[0]] * a
+            if top is None or value > top:
+                top, end[i] = value, node[0]
+            acc += node[2]
+            mid = (lo + hi) >> 1
+            if a <= points[mid]:
+                node, hi = node[3], mid
+            else:
+                node, lo = node[4], mid + 1
+        best[i] = a * a + top + below[i]
+        t[1] += below[i] - best[i]
+        t[2] += below[i] - best[i]
+        if parent[i] >= 0:
+            below[parent[i]] += best[i]
+            # ties go to the earlier child, whose tree t is the base
+            tree[parent[i]] = _merge(t, tree[parent[i]], 0, 0, last, points, slope)
+    total = sum(best[i] for i in range(n) if parent[i] < 0)
 
-    total = zero
-    for r in roots:
-        total = total + best[r]
-    if x.backend == FLOAT and not math.isfinite(total):
-        raise OverflowError("the squared norm overflows binary64")
-
-    # reconstruct one optimal all-closed family via back-pointers, walking
-    # each segment top-down to trim it to its support and sum it
+    # one optimal family: in preorder, a node no earlier path took is the
+    # top of its own path, which runs down to end[top]; taken nodes get end -1
     family = []
-    tasks = list(roots)
-    while tasks:
-        cur = tasks.pop()
-        j = best_idx[cur]
-        first = last = None
-        seg_sum = zero
-        while True:
-            if cur in vals:
-                if first is None:
-                    first = cur
-                last = cur
-                seg_sum = seg_sum + vals[cur]
-            _, _, k, jj = options[cur][j]
-            for kid in children[cur]:
-                if kid != k:
-                    tasks.append(kid)
-            if k == FRESH:
-                break
-            cur, j = k, jj
-        if seg_sum != 0:  # also drops segments without support nodes
-            family.append((first, last))
-    family.sort()
-    segments = tuple(Segment(node_at(a), node_at(b)) for a, b in family)
-    return NormWitness(total, segments)
+    for i in range(n):
+        b = end[i]
+        if b >= 0:
+            if prefix[b] != above[i]:
+                family.append((ids[i], ids[b]))
+            while b != i:
+                end[b] = -1
+                b = parent[b]
+    segments = tuple(Segment(node_at(a), node_at(b)) for a, b in sorted(family))
+    if x.backend == EXACT:
+        return NormWitness(Fraction(total, scale * scale), segments)
+    try:
+        return NormWitness(total / (scale * scale), segments)
+    except OverflowError:
+        raise OverflowError("the squared norm overflows binary64") from None

@@ -216,30 +216,41 @@ def vector_from_json_dict(obj, backend: str) -> JTVector:
 def _exact_decimal(literal: str) -> Fraction:
     """A JSON decimal literal as a Fraction, its exponent bounded first.
 
-    Expanding 1e800000 costs time linear in the exponent, and a value
-    whose digits exceed the interpreter's int-to-text limit could never
-    be rendered, so such exponents are refused before the expansion.
+    Expanding 1e800000 costs time linear in the exponent, and a squared
+    norm has twice the value's digits, so an exponent past half the
+    interpreter's int-to-text limit is refused before the expansion.
     """
     # the limit (0 = none) exists from Python 3.10.7 and 3.11 on
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = (limit - 1) // 2
     exponent = literal.lower().partition("e")[2].lstrip("+-").lstrip("0")
-    if limit and (len(exponent) > len(str(limit)) or int(exponent or 0) > limit):
+    if limit and (len(exponent) > len(str(bound)) or int(exponent or 0) > bound):
         raise VectorFormatError(
-            f"decimal literal {literal}: exponent exceeds the {limit}-digit limit"
+            f"decimal literal {literal}: exponent beyond {bound}, half the digit limit"
         )
     return Fraction(literal)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """An object's key-value pairs as a dict; a repeated key is an error."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise VectorFormatError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def loads_json(text: str, backend: str = EXACT):
     """Parse a vector or functional file's JSON text for the given backend.
 
     Decimal literals in an exact-backend file are read with decimal
-    semantics ("0.5" means one half), not reinterpreted binary64.
+    semantics ("0.5" means one half), not reinterpreted binary64.  A key
+    repeated within one object is rejected, not silently overwritten.
     """
     try:
-        if backend == EXACT:
-            return json.loads(text, parse_float=_exact_decimal)
-        return json.loads(text)
+        exact = _exact_decimal if backend == EXACT else None
+        return json.loads(text, parse_float=exact, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise VectorFormatError(f"invalid JSON: {exc}") from exc
 

@@ -26,11 +26,13 @@ def err_doc(capsys):
 
 
 def assert_one_error_line(capsys):
+    """Asserts one {"error": ...} line and nothing else; returns the message."""
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error"}
+    return json.loads(lines[0])["error"]
 
 
 NON_FINITE = ['{"": NaN, "0": 1}', '{"": Infinity}', '{"0": -Infinity}', '{"": 1e400}']
@@ -136,17 +138,43 @@ def test_norm_exact_square_beyond_binary64(tmp_path, capsys):
 def test_norm_exact_root_beyond_binary64_exits_2(tmp_path, capsys):
     vector = write(tmp_path, "x.json", '{"": 1e400}')
     assert run(["norm", vector]) == 2
-    assert_one_error_line(capsys)
+    assert "binary64" in assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("literal", ["1e800000", "1e-800000"])
+def test_norm_exact_root_below_binary64_square(tmp_path, capsys):
+    # value_squared 1e-400 underflows binary64, its root 1e-200 does not
+    vector = write(tmp_path, "x.json", '{"": 1e-200}')
+    assert run(["norm", vector]) == 0
+    doc = out_doc(capsys)
+    assert doc["value"] == 1e-200
+    assert doc["value_squared"] == f"1/{10**400}"
+
+
+@pytest.mark.parametrize("literal", ["1e800000", "1e-800000", "1e2200", "1e-2200"])
 def test_norm_rejects_huge_decimal_exponent(tmp_path, capsys, literal):
-    # refused before the exact backend expands 800,000 digits
+    # refused while parsing: the squared norm would exceed the digit limit
     vector = write(tmp_path, "x.json", f'{{"": {literal}}}')
     assert run(["norm", vector]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert literal in json.loads(captured.err)["error"]
+
+
+def test_norm_renders_an_exponent_below_the_bound(tmp_path, capsys):
+    # 1e-2100 squares to 4,201 digits, within the 4,300-digit limit
+    vector = write(tmp_path, "x.json", '{"": 1e-2100}')
+    assert run(["norm", vector]) == 0
+    assert out_doc(capsys)["value_squared"] == f"1/{10**4200}"
+    # 1e2100 parses and its square renders; only its root exceeds binary64
+    vector = write(tmp_path, "x.json", '{"": 1e2100}')
+    assert run(["norm", vector]) == 2
+    assert "binary64" in assert_one_error_line(capsys)
+
+
+def test_norm_rejects_duplicate_keys(tmp_path, capsys):
+    vector = write(tmp_path, "x.json", '{"0": 1, "1": 3, "0": 2}')
+    assert run(["norm", vector]) == 2
+    assert "'0'" in assert_one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +250,16 @@ def test_eval_exact_beyond_binary64_exits_2(tmp_path, capsys):
     functional = write(tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": ".."}]}')
     vector = write(tmp_path, "x.json", '{"": 1e400}')
     assert run(["eval", functional, vector]) == 2
-    assert_one_error_line(capsys)
+    assert "binary64" in assert_one_error_line(capsys)
+
+
+def test_eval_rejects_duplicate_keys_in_the_functional(tmp_path, capsys):
+    functional = write(
+        tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": "..", "alpha": 2}]}'
+    )
+    vector = write(tmp_path, "x.json", '{"": 1}')
+    assert run(["eval", functional, vector, "--backend", "float"]) == 2
+    assert "'alpha'" in assert_one_error_line(capsys)
 
 
 def test_eval_does_not_need_the_norm(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from jamestree.norm import (
 )
 from jamestree.vectors import EXACT, FLOAT, JTVector, basis_vector, zero_scalar
 from jamestree.lab import antichain_nodes, random_vector, substream
+from norm_references import chain_norm, envelope_norm
 
 
 def vec(entries, backend=EXACT):
@@ -160,6 +162,11 @@ def test_dp_oracle_equivalence_random():
         assert family_value_squared(x, oracle.family) == oracle.value_squared
 
 
+def exact_of(xf):
+    """The exact vector holding the same binary64 values as a float vector."""
+    return vec({node: Fraction(v) for node, v in xf.entries.items()})
+
+
 def test_dp_float_close_to_exact():
     for i in range(150):
         rng = substream(515151, i)
@@ -167,6 +174,8 @@ def test_dp_float_close_to_exact():
         exact_sq = float(jt_norm(x).value_squared)
         float_sq = jt_norm(x.to_float()).value_squared
         assert math.isclose(float_sq, exact_sq, rel_tol=1e-9, abs_tol=1e-12)
+        # the float result is the correctly rounded exact optimum of its inputs
+        assert float_sq == float(jt_norm(exact_of(x.to_float())).value_squared)
 
 
 def test_dp_witness_is_deterministic():
@@ -270,18 +279,49 @@ def test_float_backend_end_to_end():
 
 
 def test_float_overflow_raises():
-    # the envelope shifts meet inf - inf here, so the float total is nan
+    # the exact optimum, 3e616, is finite; only its rounding to binary64 fails
     x = vec({"": 1e308, "0": -1e308, "00": 1e308}, FLOAT)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="binary64"):
         jt_norm(x)
+
+
+def test_float_underflow_keeps_the_exact_witness():
+    # one segment, 4e-640, beats two singletons, 2e-640, though both round to 0
+    w = jt_norm(vec({"": 1e-320, "0": 1e-320}, FLOAT))
+    assert w.value_squared == 0.0
+    assert [str(seg) for seg in w.family] == ["..0"]
+
+
+def test_float_intercepts_beyond_binary64_stay_exact():
+    # P^2 and 2*P*q exceed binary64 here, while (P - q)^2 does not
+    w = jt_norm(vec({"": 1.2e154, "0": 1.0}, FLOAT))
+    assert w.value_squared == float((Fraction(1.2e154) + 1) ** 2)
+    assert math.isfinite(w.value_squared)
+    assert [str(seg) for seg in w.family] == ["..0"]
+
+
+def test_deep_pair_costs_no_depth():
+    # the support forest has two nodes at any depth
+    x = vec({"": 1, "0" * 100_000: 2})
+    start = time.perf_counter()
+    w = jt_norm(x)
+    assert time.perf_counter() - start < 0.5
+    assert w.value_squared == 9
+    assert [str(seg) for seg in w.family] == [".." + "0" * 100_000]
 
 
 def test_value_beyond_binary64_square():
     assert NormWitness(Fraction(10**400), ()).value == 1e200
     third = NormWitness(Fraction(10**400, 3), ()).value
     assert math.isclose(third, 1e200 / math.sqrt(3), rel_tol=1e-15)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="binary64"):
         NormWitness(Fraction(10**800), ()).value
+
+
+def test_value_below_binary64_square():
+    assert NormWitness(Fraction(1, 10**400), ()).value == 1e-200
+    third = NormWitness(Fraction(1, 3 * 10**400), ()).value
+    assert math.isclose(third, 1e-200 / math.sqrt(3), rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +424,130 @@ def test_property_dp_equals_oracle_on_alternating_chains(entries):
 @given(antichains_under_an_ancestor())
 def test_property_dp_equals_oracle_on_wide_antichains(entries):
     check_dp_against_oracle(entries)
+
+
+# ---------------------------------------------------------------------------
+# the engine against both reference engines at 50 to 2,000 support nodes
+#
+# Hypothesis draws the shape's size and a seed; the seed fills in the
+# values, so every example stays within Hypothesis's data budget.
+
+GATE = settings(deadline=None, max_examples=3)
+SIZES = st.integers(50, 2000)
+SEEDS = st.integers(0, 2**32 - 1)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+KINDS = st.sampled_from(["int", "dyadic", "prime"])
+
+
+def draw_value(rng, kind):
+    """A nonzero value: an int, a dyadic k/2^j, or k/p for a prime p."""
+    k = rng.choice((-1, 1)) * rng.randint(1, 64)
+    if kind == "int":
+        return Fraction(k)
+    if kind == "dyadic":
+        return Fraction(k, 1 << rng.randint(0, 8))
+    return Fraction(k, rng.choice(PRIMES))
+
+
+def chain_entries(rng, values, depth):
+    """values placed top-down at distinct random levels of one random path."""
+    end = (1 << depth) | rng.getrandbits(depth)
+    levels = sorted(rng.sample(range(depth + 1), len(values)))
+    return {end >> (depth - level): v for level, v in zip(levels, values)}
+
+
+WITNESS_CHECK = 500  # family_value_squared is quadratic in the family's size
+
+
+def check_against_references(entries, chain_values=None, envelope=True):
+    """The engine equals the envelope DP and, on a chain, the 2-variation."""
+    x = vec({node_at(i): v for i, v in entries.items()})
+    w = jt_norm(x)
+    if len(entries) <= WITNESS_CHECK:
+        assert family_value_squared(x, w.family) == w.value_squared
+    if chain_values is not None:
+        assert w.value_squared == chain_norm(chain_values)
+    if envelope:
+        assert w.value_squared == envelope_norm(x).value_squared
+
+
+@GATE
+@given(SIZES, SEEDS, KINDS)
+def test_gate_deep_chains(n, seed, kind):
+    rng = random.Random(seed)
+    values = [draw_value(rng, kind) for _ in range(n)]
+    check_against_references(chain_entries(rng, values, rng.randint(n - 1, 5000)), values)
+
+
+@GATE
+@given(SIZES, SEEDS, KINDS)
+def test_gate_planted_zero_sum_runs(n, seed, kind):
+    # runs of 2 to 6 consecutive support nodes summing to exactly 0
+    rng = random.Random(seed)
+    values = []
+    while len(values) < n:
+        run = [draw_value(rng, kind) for _ in range(rng.randint(1, 5))]
+        values += run + [-sum(run)] if sum(run) else run
+    values = values[:n]
+    check_against_references(chain_entries(rng, values, rng.randint(n - 1, 3000)), values)
+
+
+@GATE
+@given(SIZES, SEEDS)
+def test_gate_alternating_chains(n, seed):
+    # (-1)^i (i+1): the envelope DP keeps every line, so it sees 100 at most
+    rng = random.Random(seed)
+    values = [Fraction((-1) ** i * (i + 1)) for i in range(n)]
+    entries = chain_entries(rng, values, rng.randint(n - 1, 3000))
+    check_against_references(entries, values, envelope=False)
+    head = values[:100]
+    check_against_references(chain_entries(rng, head, rng.randint(99, 300)), head)
+
+
+@GATE
+@given(SIZES, SEEDS, KINDS)
+def test_gate_wide_antichains(n, seed, kind):
+    # n nodes on one level below a common support ancestor, plus that ancestor
+    rng = random.Random(seed)
+    top_level, gap = rng.randint(0, 20), n.bit_length() + rng.randint(0, 2)
+    top = (1 << top_level) | rng.getrandbits(top_level)
+    entries = {(top << gap) | k: draw_value(rng, kind) for k in rng.sample(range(1 << gap), n)}
+    entries[top] = draw_value(rng, kind)
+    check_against_references(entries)
+
+
+@GATE
+@given(SIZES, SEEDS, KINDS)
+def test_gate_random_trees(n, seed, kind):
+    rng = random.Random(seed)
+    entries = {}
+    while len(entries) < n:
+        level = rng.randint(0, 40)
+        entries[(1 << level) | rng.getrandbits(level)] = draw_value(rng, kind)
+    check_against_references(entries)
+
+
+@GATE
+@given(SIZES, SEEDS)
+def test_gate_float_magnitudes(n, seed):
+    # binary64 values from 1e-300 to 1e154: the float engine returns the
+    # correctly rounded exact optimum of the same inputs, with its witness,
+    # or raises when that rounding overflows
+    rng = random.Random(seed)
+    entries = {}
+    while len(entries) < n:
+        level = rng.randint(0, 40)
+        magnitude = 10.0 ** rng.uniform(-300, 154)
+        entries[(1 << level) | rng.getrandbits(level)] = rng.choice((-1, 1)) * magnitude
+    xf = vec({node_at(i): v for i, v in entries.items()}, FLOAT)
+    check_against_references({index_of(node): v for node, v in exact_of(xf).entries.items()})
+    exact = jt_norm(exact_of(xf))
+    try:
+        rounded = float(exact.value_squared)
+    except OverflowError:
+        with pytest.raises(OverflowError, match="binary64"):
+            jt_norm(xf)
+        return
+    w = jt_norm(xf)
+    assert w.value_squared == rounded
+    assert w.family == exact.family

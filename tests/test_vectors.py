@@ -14,6 +14,7 @@ from jamestree.vectors import (
     VectorFormatError,
     basis_vector,
     dumps_vector,
+    loads_json,
     loads_vector,
 )
 
@@ -165,6 +166,15 @@ def test_loads_vector_rejects_malformed():
         loads_vector('{"0": true}')
     with pytest.raises(VectorFormatError):
         loads_vector("not json")
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_loads_json_rejects_duplicate_keys(backend):
+    with pytest.raises(VectorFormatError, match="duplicate key '0'"):
+        loads_json('{"0": 1, "0": 2}', backend)
+    with pytest.raises(VectorFormatError, match="duplicate key 'alpha'"):
+        loads_json('{"terms": [{"alpha": 1, "interval": "..", "alpha": 2}]}', backend)
+    assert loads_json('{"a": {"0": 1}, "b": {"0": 2}}', backend) == {"a": {"0": 1}, "b": {"0": 2}}
 
 
 def test_dumps_loads_roundtrip():
