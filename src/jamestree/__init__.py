@@ -41,6 +41,8 @@ from .norm import (
     brute_force_norm,
     candidate_segments,
     family_value_squared,
+    first_overlap,
+    interval_sums,
     jt_norm,
     norm_lower_upper,
 )

@@ -51,8 +51,8 @@ def _cmd_norm(args) -> int:
 def _cmd_eval(args) -> int:
     k = load_kstar(args.functional, args.backend)
     x = load_vector(args.vector, args.backend)
-    value = eval_kstar(k, x)
     try:
+        value = eval_kstar(k, x)
         decimal = float(value)
     except OverflowError:
         raise OverflowError("the value of the functional exceeds binary64") from None

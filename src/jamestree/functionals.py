@@ -7,11 +7,15 @@ vector.  To stay radical-free on the exact backend a combination is stored
 as integer-side weights plus a separate ``scale_squared``: the acting
 coefficient of term i is weight_i / sqrt(scale_squared).  Identities are
 then checked on squares, where everything is rational.
+
+Every evaluation and check works on the whole family at once: the
+interval sums come from one ``interval_sums`` sweep of the support, and
+disjointness from one ``first_overlap`` sweep of the starts, so a
+norming element costs about as much as the norm it attains.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -21,10 +25,10 @@ from .nodes import (
     Interval,
     NodeId,
     Segment,
-    disjoint,
     separation_level,
 )
-from .norm import eval_interval, jt_norm
+# eval_interval is re-exported: the interval functionals live here
+from .norm import eval_interval, first_overlap, interval_sums, jt_norm, rounded_root
 from .vectors import (
     EXACT,
     BackendMismatchError,
@@ -105,12 +109,10 @@ class KStarElement:
             if weight_sq > self.scale_squared * (1.0 + 1e-9):
                 raise InvalidKStarError("l2 bound violated")
         intervals = [iv for _, iv in self.terms]
-        for i in range(len(intervals)):
-            for j in range(i + 1, len(intervals)):
-                if not disjoint(intervals[i], intervals[j]):
-                    raise InvalidKStarError(
-                        f"intervals {intervals[i]} and {intervals[j]} overlap"
-                    )
+        pair = first_overlap(intervals)
+        if pair is not None:
+            i, j = pair
+            raise InvalidKStarError(f"intervals {intervals[i]} and {intervals[j]} overlap")
 
 
 def _weighted_sum(k: KStarElement, x: JTVector) -> Scalar:
@@ -119,8 +121,9 @@ def _weighted_sum(k: KStarElement, x: JTVector) -> Scalar:
             f"cannot evaluate {k.backend} functional on {x.backend} vector"
         )
     total = zero_scalar(x.backend)
-    for w, interval in k.terms:
-        total += w * eval_interval(interval, x)
+    sums = interval_sums([iv for _, iv in k.terms], x)
+    for (w, _), s in zip(k.terms, sums):
+        total += w * s
     return total
 
 
@@ -138,13 +141,16 @@ def eval_kstar(k: KStarElement, x: JTVector) -> Scalar:
     """k*(x).  Backend-exact when scale_squared = 1; binary64 otherwise.
 
     With a nontrivial scale the true value carries a square root, so it is
-    returned as a float; exact identity checks should use
-    eval_kstar_squared instead.
+    returned as the binary64 nearest s / sqrt(scale_squared); exact identity
+    checks should use eval_kstar_squared instead.
     """
     s = _weighted_sum(k, x)
     if k.scale_squared == 1:
         return s
-    return float(s) / math.sqrt(float(k.scale_squared))
+    a, b = s.as_integer_ratio()
+    c, d = k.scale_squared.as_integer_ratio()
+    root = rounded_root(a * a * d, b * b * c)
+    return -root if s < 0 else root
 
 
 def norming_functional(x: JTVector) -> KStarElement:
@@ -158,11 +164,8 @@ def norming_functional(x: JTVector) -> KStarElement:
     if x.is_zero:
         raise ValueError("the zero vector has no norming functional")
     witness = jt_norm(x)
-    terms = []
-    for seg in witness.family:
-        w = eval_interval(seg, x)
-        terms.append((w, seg))
-    return KStarElement(tuple(terms), witness.value_squared, x.backend)
+    terms = tuple(zip(interval_sums(witness.family, x), witness.family))
+    return KStarElement(terms, witness.value_squared, x.backend)
 
 
 # ---------------------------------------------------------------------------

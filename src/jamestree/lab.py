@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .nodes import BranchPrefix, Interval, NodeId, Segment, index_of, node_at
-from .norm import brute_force_norm, jt_norm
-from .functionals import KStarElement, eval_interval, interval_to_json
+from .norm import brute_force_norm, interval_sums, jt_norm
+from .functionals import KStarElement, interval_to_json
 from .vectors import (
     EXACT,
     JTVector,
@@ -413,8 +413,9 @@ def w_cauchy_probe(
     records = []
     verdict = True
     count = len(seq)
-    for interval in intervals:
-        values = [eval_interval(interval, x) for x in seq]
+    table = [interval_sums(intervals, x) for x in seq]  # table[n][i] = I_i*(x_n)
+    for i, interval in enumerate(intervals):
+        values = [row[i] for row in table]
         moduli = []
         if values:
             suffix_max = values[-1]

@@ -24,11 +24,15 @@ compute it:
   nodes changes neither its sum nor disjointness, so restricting to these
   candidates loses nothing.
 
-``eval_interval`` is the one sum of a vector over a segment or branch; it
-visits the support, not the interval's nodes.
+``interval_sums`` is the one sum of a vector over segments and branches:
+one preorder sweep of the support and a query node per interval, so many
+disjoint intervals cost about as much as the support.  ``eval_interval``
+is its one-interval form, and ``first_overlap`` checks a whole family's
+disjointness in the same preorder.
 
 All arithmetic stays on squared values; on the exact backend no square
 root is ever taken, so oracle-vs-DP comparisons are literal equality.
+The one root, for display, is rounded once (``rounded_root``).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .nodes import Interval, Segment, disjoint, index_of, node_at
 from .vectors import EXACT, JTVector, Scalar, zero_scalar
@@ -63,40 +67,133 @@ class NormWitness:
     def value(self) -> float:
         """Binary64 square root, for display; value_squared is the exact datum.
 
-        A p/q that float(p/q) would overflow or round toward zero takes the
-        root as isqrt(p*q)/q, where p*q has over 1,000 bits; a root beyond
-        binary64 raises OverflowError.
+        Correctly rounded; a root beyond binary64 raises OverflowError.
         """
-        p, q = self.value_squared.as_integer_ratio()
-        if abs(p.bit_length() - q.bit_length()) < 1020:
-            return math.sqrt(p / q)
         try:
-            return math.isqrt(p * q) / q
+            return rounded_root(*self.value_squared.as_integer_ratio())
         except OverflowError:
             raise OverflowError("the norm exceeds binary64") from None
 
 
+def rounded_root(p: int, q: int) -> float:
+    """The binary64 nearest sqrt(p/q), for p >= 0 and q > 0: one rounding.
+
+    With k such that r = isqrt(p * 4^k // q) has at least 60 bits, the root
+    is r / 2^k up to less than one unit of r, and a sticky bit marks an
+    inexact r.  Every rounding boundary of a 53-bit result is then an
+    integer multiple of that unit, so the one correctly rounded int
+    division (2r + sticky) / 2^(k+1) rounds as the root does, subnormals
+    included.  A root beyond binary64 raises OverflowError.
+    """
+    k = max(0, 60 - (p.bit_length() - q.bit_length()) // 2)
+    scaled = p << 2 * k
+    r = math.isqrt(scaled // q)
+    return (2 * r + (r * r * q != scaled)) / (1 << (k + 1))
+
+
+def interval_sums(intervals: Sequence[Interval], x: JTVector) -> list[Scalar]:
+    """I*(x) for every interval, in one preorder sweep of the support.
+
+    An interval's support nodes are the support ancestors-or-self of one
+    query node that lie at or below the interval's top level: a segment's
+    end, or a branch's node at the deepest support level (its stem, when
+    that is deeper).  Sorted together in preorder, with a support node
+    before an equal query node, an ancestor stack gives each query its
+    deepest support ancestor-or-self, and the support-forest parents from
+    there are the interval's nodes, bottom-up.  Their values are added
+    top-down from zero, the order of a scan in enumeration order, so float
+    sums round as such a scan would.  The walks of pairwise disjoint
+    intervals visit each support node at most once.
+    """
+    ids = [node.index for node in x.entries]
+    values = list(x.entries.values())
+    depth = max(ids, default=1).bit_length() - 1  # the deepest support level
+    queries, tops = [], []  # per interval: its query node, its top node's bit length
+    for iv in intervals:
+        if isinstance(iv, Segment):
+            top, query = iv.start, iv.end
+        else:
+            top, query = iv.stem, iv.node_at_level(max(iv.stem.level, depth))
+        queries.append(query.index)
+        tops.append(top.index.bit_length())
+    width = max(ids + queries, default=1).bit_length()
+    items = []  # (preorder key, bit length, 0 for support or 1 for a query, position)
+    for kind, nodes in ((0, ids), (1, queries)):
+        for i, v in enumerate(nodes):
+            bits = v.bit_length()
+            items.append((v << (width - bits), bits, kind, i))
+    items.sort()
+
+    parent = [-1] * len(ids)  # deepest proper support ancestor
+    bits_of = [0] * len(ids)
+    deepest = [-1] * len(queries)  # deepest support ancestor-or-self
+    stack: list[tuple[int, int]] = []  # (subtree's key end, support position)
+    for key, bits, kind, i in items:
+        while stack and key >= stack[-1][0]:
+            stack.pop()
+        top = stack[-1][1] if stack else -1
+        if kind:
+            deepest[i] = top
+        else:
+            parent[i], bits_of[i] = top, bits
+            stack.append((key + (1 << (width - bits)), i))
+
+    zero = zero_scalar(x.backend)
+    sums = []
+    for top_bits, i in zip(tops, deepest):
+        path = []
+        while i >= 0 and bits_of[i] >= top_bits:
+            path.append(values[i])
+            i = parent[i]
+        total = zero
+        for v in reversed(path):
+            total += v
+        sums.append(total)
+    return sums
+
+
+def first_overlap(intervals: Sequence[Interval]) -> tuple[int, int] | None:
+    """Positions i < j of two intervals that meet, or None if none do.
+
+    Two intervals meet iff the one that starts deeper starts inside the
+    other, and equal starts always meet.  In preorder of the starts, each
+    start is tested only against the nearest start at or above it, the top
+    of an ancestor stack: a farther interval that contains it also contains
+    that nearer start, a meeting found before.  One containment test per
+    interval, after an O(m log m) sort.
+    """
+    starts = [iv.start if isinstance(iv, Segment) else iv.stem for iv in intervals]
+    width = max((s.index for s in starts), default=1).bit_length()
+    pads = [width - s.index.bit_length() for s in starts]
+    # preorder, an ancestor before the descendants that share its key;
+    # the sort is stable, so equal starts keep their order
+    order = sorted(range(len(starts)), key=lambda i: (starts[i].index << pads[i], -pads[i]))
+    stack: list[tuple[int, int]] = []  # (start's subtree key end, position)
+    for i in order:
+        key = starts[i].index << pads[i]
+        while stack and key >= stack[-1][0]:
+            stack.pop()
+        if stack and intervals[stack[-1][1]].contains(starts[i]):
+            j = stack[-1][1]
+            return min(i, j), max(i, j)
+        stack.append((key + (1 << pads[i]), i))
+    return None
+
+
 def eval_interval(interval: Interval, x: JTVector) -> Scalar:
     """I*(x) = sum of x_s over support nodes s lying in the interval."""
-    total = zero_scalar(x.backend)
-    for node, value in x.items():
-        if interval.contains(node):
-            total += value
-    return total
+    return interval_sums([interval], x)[0]
 
 
 def family_value_squared(x: JTVector, family: Iterable[Segment]) -> Scalar:
     """Sum of squared segment sums; rejects overlapping families."""
     segs = tuple(family)
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if not disjoint(segs[i], segs[j]):
-                raise OverlappingSegmentsError(
-                    f"segments {segs[i]} and {segs[j]} overlap"
-                )
+    pair = first_overlap(segs)
+    if pair is not None:
+        i, j = pair
+        raise OverlappingSegmentsError(f"segments {segs[i]} and {segs[j]} overlap")
     total = zero_scalar(x.backend)
-    for seg in segs:
-        s = eval_interval(seg, x)
+    for s in interval_sums(segs, x):
         total += s * s
     return total
 
@@ -138,10 +235,7 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
         )
 
     keys = [(index_of(seg.start), index_of(seg.end)) for seg in cands]
-    squares = []
-    for seg in cands:
-        s = eval_interval(seg, x)
-        squares.append(s * s)
+    squares = [s * s for s in interval_sums(cands, x)]
 
     conflict = [0] * n  # bitmask of candidates overlapping candidate i
     for i in range(n):

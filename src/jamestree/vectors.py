@@ -213,22 +213,36 @@ def vector_from_json_dict(obj, backend: str) -> JTVector:
     return JTVector.from_entries(entries, backend)
 
 
-def _exact_decimal(literal: str) -> Fraction:
-    """A JSON decimal literal as a Fraction, its exponent bounded first.
+def _bounded_literal(literal: str) -> str:
+    """A JSON number literal, refused when its square could not be printed.
 
-    Expanding 1e800000 costs time linear in the exponent, and a squared
-    norm has twice the value's digits, so an exponent past half the
-    interpreter's int-to-text limit is refused before the expansion.
+    A literal of d digits and exponent e has a value whose numerator and
+    denominator have at most d + |e| digits, and a squared norm doubles
+    them.  So d + |e| past half the interpreter's int-to-text limit is
+    refused before the value is built; expanding 1e800000 alone costs time
+    linear in the exponent.
     """
     # the limit (0 = none) exists from Python 3.10.7 and 3.11 on
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = (limit - 1) // 2
-    exponent = literal.lower().partition("e")[2].lstrip("+-").lstrip("0")
-    if limit and (len(exponent) > len(str(bound)) or int(exponent or 0) > bound):
+    bound = limit // 2
+    mantissa, _, exponent = literal.lower().partition("e")
+    exponent = exponent.lstrip("+-").lstrip("0")
+    digits = len(mantissa.lstrip("-").replace(".", ""))
+    if limit and (len(exponent) > len(str(bound)) or digits + int(exponent or 0) > bound):
         raise VectorFormatError(
-            f"decimal literal {literal}: exponent beyond {bound}, half the digit limit"
+            f"number literal {literal}: digits plus exponent beyond {bound}, "
+            "half the digit limit"
         )
-    return Fraction(literal)
+    return literal
+
+
+def _exact_decimal(literal: str) -> Fraction:
+    return Fraction(_bounded_literal(literal))
+
+
+def _exact_int(literal: str) -> int:
+    # no digit limit below 640 can be set, so a shorter int literal passes
+    return int(literal if len(literal) < 320 else _bounded_literal(literal))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -249,8 +263,9 @@ def loads_json(text: str, backend: str = EXACT):
     repeated within one object is rejected, not silently overwritten.
     """
     try:
-        exact = _exact_decimal if backend == EXACT else None
-        return json.loads(text, parse_float=exact, object_pairs_hook=_unique_keys)
+        exact = {"parse_float": _exact_decimal, "parse_int": _exact_int}
+        hooks = exact if backend == EXACT else {}
+        return json.loads(text, object_pairs_hook=_unique_keys, **hooks)
     except json.JSONDecodeError as exc:
         raise VectorFormatError(f"invalid JSON: {exc}") from exc
 

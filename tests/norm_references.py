@@ -10,6 +10,10 @@ kept verbatim, renamed only, as an independent second engine.
 f(j) = max_{i<j} f(i) + (P_j - P_i)^2, in O(m^2) steps: on a chain, an
 optimal family extends to a partition into consecutive runs, so this is
 the norm at any length.
+
+``scan_interval_sum`` is the interval sum the library shipped before its
+preorder sweep (``norm.interval_sums``): one scan of the whole support in
+enumeration order per interval, kept verbatim, renamed only.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from jamestree.nodes import Segment, index_of, node_at
+from jamestree.nodes import Interval, Segment, index_of, node_at
 from jamestree.norm import NormWitness
 from jamestree.vectors import FLOAT, JTVector, Scalar, zero_scalar
 
@@ -168,3 +172,12 @@ def chain_norm(values: Sequence) -> Fraction:
         f.append(max(fi + (p - pi) * (p - pi) for fi, pi in zip(f, prefix)))
         prefix.append(p)
     return Fraction(f[-1], scale * scale)
+
+
+def scan_interval_sum(interval: Interval, x: JTVector) -> Scalar:
+    """I*(x) = sum of x_s over support nodes s lying in the interval."""
+    total = zero_scalar(x.backend)
+    for node, value in x.items():
+        if interval.contains(node):
+            total += value
+    return total

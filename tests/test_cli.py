@@ -150,7 +150,20 @@ def test_norm_exact_root_below_binary64_square(tmp_path, capsys):
     assert doc["value_squared"] == f"1/{10**400}"
 
 
-@pytest.mark.parametrize("literal", ["1e800000", "1e-800000", "1e2200", "1e-2200"])
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "1e800000",
+        "1e-800000",
+        "1e2200",
+        "1e-2200",
+        "12345e2148",
+        "-12345e-2148",
+        pytest.param("7" * 3000, id="3000-digit-int"),
+        pytest.param("0." + "3" * 3000, id="3000-digit-fraction"),
+        pytest.param("1" * 2000 + "e151", id="2000-digits-e151"),
+    ],
+)
 def test_norm_rejects_huge_decimal_exponent(tmp_path, capsys, literal):
     # refused while parsing: the squared norm would exceed the digit limit
     vector = write(tmp_path, "x.json", f'{{"": {literal}}}')
@@ -169,6 +182,16 @@ def test_norm_renders_an_exponent_below_the_bound(tmp_path, capsys):
     vector = write(tmp_path, "x.json", '{"": 1e2100}')
     assert run(["norm", vector]) == 2
     assert "binary64" in assert_one_error_line(capsys)
+
+
+def test_norm_value_is_the_correctly_rounded_root(tmp_path, capsys):
+    # sqrt(2/49) = 0.2020305089104421498...; the root of the rounded 2/49
+    # is the farther neighbour 0.20203050891044214
+    vector = write(tmp_path, "x.json", '{"0": "1/7", "1": "1/7"}')
+    assert run(["norm", vector]) == 0
+    doc = out_doc(capsys)
+    assert doc["value_squared"] == "2/49"
+    assert doc["value"] == 0.20203050891044216
 
 
 def test_norm_rejects_duplicate_keys(tmp_path, capsys):
@@ -248,6 +271,15 @@ def test_eval_overflow_exits_2(tmp_path, capsys):
 
 def test_eval_exact_beyond_binary64_exits_2(tmp_path, capsys):
     functional = write(tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": ".."}]}')
+    vector = write(tmp_path, "x.json", '{"": 1e400}')
+    assert run(["eval", functional, vector]) == 2
+    assert "binary64" in assert_one_error_line(capsys)
+
+
+def test_eval_scaled_beyond_binary64_exits_2(tmp_path, capsys):
+    functional = write(
+        tmp_path, "k.json", '{"terms": [{"alpha": 1, "interval": ".."}], "scale_squared": 2}'
+    )
     vector = write(tmp_path, "x.json", '{"": 1e400}')
     assert run(["eval", functional, vector]) == 2
     assert "binary64" in assert_one_error_line(capsys)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,53 @@ def test_kstar_rejects_overlapping_intervals():
         )
 
 
+def test_kstar_overlap_error_names_the_earlier_term_first():
+    terms = [(1, Segment.parse("10..10")), (1, Segment.parse("0..0")), (1, Segment.parse("1..10"))]
+    with pytest.raises(InvalidKStarError, match=r"intervals 10\.\.10 and 1\.\.10 overlap"):
+        KStarElement.from_terms(terms, scale_squared=3)
+
+
+def disjoint_terms(m):
+    """m pairwise disjoint intervals: stacked segments down the 0-chain, one
+    branch down the 1-chain, and singletons ten levels below node 10."""
+    chain = [Segment(node_at(1 << (2 * i)), node_at(1 << (2 * i + 1))) for i in range(m // 2)]
+    branch = [BranchPrefix(NodeId.parse("1"), (1,))]
+    singles = [Segment(node_at((6 << 10) | j), node_at((6 << 10) | j)) for j in range(m - len(chain) - 1)]
+    return chain + branch + singles
+
+
+def test_kstar_validation_makes_one_containment_test_per_term(monkeypatch):
+    intervals = disjoint_terms(2000)
+    calls = []
+    for cls in (Segment, BranchPrefix):
+        contains = cls.contains
+        monkeypatch.setattr(
+            cls, "contains", lambda iv, node, contains=contains: calls.append(1) or contains(iv, node)
+        )
+    k = KStarElement.from_terms([(1, iv) for iv in intervals], scale_squared=len(intervals))
+    assert 0 < len(calls) <= len(intervals)
+    calls.clear()
+    x = vec({node_at(1 << 3): 1, node_at(3): 2, node_at((6 << 10) | 7): 3})
+    assert eval_kstar_squared(k, x) == Fraction(36, 2000)
+    assert not calls  # the interval sums test no containment at all
+
+
+def test_dual_side_on_four_thousand_nodes():
+    # the shape of the benchmark's dyadic vectors: uniform depth <= 40, values k/8
+    rng = random.Random(4000)
+    entries = {}
+    while len(entries) < 4000:
+        level = rng.randint(0, 40)
+        entries[node_at((1 << level) | rng.getrandbits(level))] = Fraction(
+            rng.choice((-1, 1)) * rng.randint(1, 64), 8
+        )
+    x = vec(entries)
+    value_squared = jt_norm(x).value_squared
+    k = norming_functional(x)
+    assert k.scale_squared == value_squared
+    assert eval_kstar_squared(k, x) == value_squared
+
+
 def test_kstar_coercion_follows_backend():
     k = KStarElement.from_terms([("1/2", Segment.parse(".."))])
     assert k.terms[0][0] == Fraction(1, 2)
@@ -248,6 +296,15 @@ def test_eval_kstar_float_when_scaled():
     assert math.isclose(value, math.sqrt(2.0), rel_tol=1e-15)
     assert eval_kstar_squared(k, x) == 2
     assert jt_norm(x).value_squared == 2  # the evaluation attains the norm
+    # 1/sqrt(49/2) = sqrt(2)/7 = 0.2020305089104421498..., rounded once
+    k = KStarElement.from_terms([(-1, Segment.parse("0..0"))], scale_squared="49/2")
+    assert eval_kstar(k, vec({"0": 1})) == -0.20203050891044216
+
+
+def test_eval_kstar_scaled_sum_beyond_binary64():
+    # k*(x) = -10^400 / sqrt(2 * 10^800): the sum overflows binary64, the value does not
+    k = KStarElement.from_terms([(-(10**400), Segment.parse(".."))], scale_squared=2 * 10**800)
+    assert eval_kstar(k, vec({"": 1})) == -math.sqrt(0.5)
 
 
 def test_eval_kstar_backend_mismatch():

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import struct
+import sys
 import time
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jamestree.nodes import NodeId, Segment, index_of, node_at
+from jamestree.nodes import ROOT, BranchPrefix, NodeId, Segment, disjoint, index_of, node_at
 from jamestree.norm import (
     InstanceTooLargeError,
     NormWitness,
@@ -18,12 +20,15 @@ from jamestree.norm import (
     brute_force_norm,
     candidate_segments,
     family_value_squared,
+    first_overlap,
+    interval_sums,
     jt_norm,
     norm_lower_upper,
+    rounded_root,
 )
 from jamestree.vectors import EXACT, FLOAT, JTVector, basis_vector, zero_scalar
 from jamestree.lab import antichain_nodes, random_vector, substream
-from norm_references import chain_norm, envelope_norm
+from norm_references import chain_norm, envelope_norm, scan_interval_sum
 
 
 def vec(entries, backend=EXACT):
@@ -39,6 +44,13 @@ def test_family_value_squared_examples():
     assert family_value_squared(x, []) == 0
     assert family_value_squared(x, [Segment.parse("..0")]) == 4
     assert family_value_squared(x, [Segment.parse(".."), Segment.parse("0..0")]) == 2
+
+
+def test_family_value_squared_names_the_earlier_segment_first():
+    x = vec({"": 1})
+    family = [Segment.parse("10..10"), Segment.parse("0..0"), Segment.parse("1..10")]
+    with pytest.raises(OverlappingSegmentsError, match=r"segments 10\.\.10 and 1\.\.10 overlap"):
+        family_value_squared(x, family)
 
 
 def test_family_value_squared_rejects_overlap():
@@ -324,6 +336,71 @@ def test_value_below_binary64_square():
     assert math.isclose(third, 1e-200 / math.sqrt(3), rel_tol=1e-15)
 
 
+def test_value_is_rounded_once():
+    # sqrt(2/49) = 0.2020305089104421498...; rounding 2/49 first and then
+    # its root gives the farther neighbour ...4214
+    assert NormWitness(Fraction(2, 49), ()).value == 0.20203050891044216
+    assert NormWitness(Fraction(37, 9), ()).value == 2.0275875100994067
+
+
+# rounded_root against a midpoint oracle: f is the binary64 nearest sqrt(x)
+# iff x lies between the squares of f's two rounding midpoints, a tie going
+# to the even neighbour
+
+MAX_FLOAT = Fraction(sys.float_info.max)
+OVERFLOW_MIDPOINT = (MAX_FLOAT + 2**1024) / 2
+
+
+def neighbour_midpoints(f: float) -> tuple[Fraction, Fraction]:
+    """The rounding midpoints below and above a finite f >= 0; 0 below 0.0."""
+    up = math.nextafter(f, math.inf)
+    above = Fraction(2**1024) if math.isinf(up) else Fraction(up)
+    return (Fraction(f) + Fraction(math.nextafter(f, 0.0))) / 2, (Fraction(f) + above) / 2
+
+
+def assert_rounded_root(p: int, q: int) -> None:
+    x = Fraction(p, q)
+    try:
+        f = rounded_root(p, q)
+    except OverflowError:
+        assert x >= OVERFLOW_MIDPOINT**2
+        return
+    lo, hi = neighbour_midpoints(f)
+    even = struct.unpack("<q", struct.pack("<d", f))[0] % 2 == 0
+    assert lo * lo < x < hi * hi or (even and x in (lo * lo, hi * hi)), (p, q, f)
+
+
+FINITE = st.floats(min_value=0.0, max_value=sys.float_info.max)
+
+
+@st.composite
+def root_cases(draw):
+    """(p, q) spread over binary64's range, or at, next to or on a midpoint."""
+    kind = draw(st.sampled_from(["spread", "midpoint", "square"]))
+    if kind == "spread":
+        p = draw(st.integers(0, 2**80)) << draw(st.integers(0, 2200))
+        q = draw(st.integers(1, 2**80)) << draw(st.integers(0, 2200))
+        return p, q
+    f = draw(FINITE)
+    if kind == "square":
+        return (Fraction(f) ** 2).as_integer_ratio()
+    mid = neighbour_midpoints(f)[1]
+    nudge = Fraction(draw(st.sampled_from([-1, 0, 1])), 2 ** draw(st.integers(100, 300)))
+    return (mid * mid * (1 + nudge)).as_integer_ratio()
+
+
+@settings(deadline=None, max_examples=200)
+@given(root_cases())
+@example((1, 2**2150))  # a root of 2^-1075, the tie between 0 and the least subnormal
+@example((1, 2**2148))  # the least subnormal, exactly
+@example((3, 2**2150))
+@example((OVERFLOW_MIDPOINT**2).as_integer_ratio())  # the tie into overflow
+@example(((MAX_FLOAT + 2**969) ** 2).as_integer_ratio())
+@example((0, 7))
+def test_property_rounded_root_is_correctly_rounded(case):
+    assert_rounded_root(*case)
+
+
 # ---------------------------------------------------------------------------
 # DP against the oracle on adversarial shapes
 #
@@ -456,15 +533,11 @@ def chain_entries(rng, values, depth):
     return {end >> (depth - level): v for level, v in zip(levels, values)}
 
 
-WITNESS_CHECK = 500  # family_value_squared is quadratic in the family's size
-
-
 def check_against_references(entries, chain_values=None, envelope=True):
     """The engine equals the envelope DP and, on a chain, the 2-variation."""
     x = vec({node_at(i): v for i, v in entries.items()})
     w = jt_norm(x)
-    if len(entries) <= WITNESS_CHECK:
-        assert family_value_squared(x, w.family) == w.value_squared
+    assert family_value_squared(x, w.family) == w.value_squared
     if chain_values is not None:
         assert w.value_squared == chain_norm(chain_values)
     if envelope:
@@ -551,3 +624,116 @@ def test_gate_float_magnitudes(n, seed):
     w = jt_norm(xf)
     assert w.value_squared == rounded
     assert w.family == exact.family
+
+
+# ---------------------------------------------------------------------------
+# the dual-side sweeps against the scan and pairwise disjointness
+
+
+def test_interval_sums_examples():
+    x = vec({"": 1, "0": 2, "01": 4, "011": 8, "1": 16, "10": 32})
+    expected = {
+        Segment.parse("0..01"): 6,  # starts and ends on support nodes
+        Segment.parse("01..01"): 4,
+        Segment.parse("..0110"): 15,  # ends below the support
+        Segment.parse("010..0100"): 0,
+        BranchPrefix(NodeId.parse("0"), (1,)): 14,  # support below the stem
+        BranchPrefix(NodeId.parse("1"), (0,)): 48,
+        BranchPrefix(NodeId.parse("1000"), (0,)): 0,  # stem below the support
+    }
+    assert interval_sums(list(expected), x) == list(expected.values())
+    assert interval_sums([], x) == []
+    assert interval_sums(list(expected), JTVector.zero(FLOAT)) == [0.0] * len(expected)
+
+
+def test_first_overlap_examples():
+    seg = Segment.parse
+    assert first_overlap([]) is None
+    assert first_overlap([seg("..")]) is None
+    # the root's segment, at the bottom of the start stack, misses 10
+    assert first_overlap([seg(".."), seg("1..10"), seg("10..10")]) == (1, 2)
+    assert first_overlap([seg("10..10"), seg(".."), seg("1..10")]) == (0, 2)
+    assert first_overlap([seg("0..0"), seg("1..1"), seg("0..01")]) == (0, 2)  # equal starts
+    assert first_overlap([BranchPrefix(ROOT, (0,)), seg("00..000")]) == (0, 1)
+    assert first_overlap([seg("00..000"), BranchPrefix(NodeId.parse("0"), (1,))]) is None
+
+
+SWEEP = settings(deadline=None, max_examples=100)
+SWEEP_DEPTH = 6  # support levels; interval tops and ends reach 4 levels deeper
+
+
+@st.composite
+def sweep_node(draw, deepest):
+    level = draw(st.integers(0, deepest))
+    return node_at((1 << level) | draw(st.integers(0, (1 << level) - 1)))
+
+
+def below(draw, node, most):
+    """node or one of its descendants at most ``most`` levels down."""
+    extra = draw(st.integers(0, most))
+    return node_at((node.index << extra) | draw(st.integers(0, (1 << extra) - 1)))
+
+
+@st.composite
+def sweep_cases(draw, backend):
+    """A vector and intervals with shared starts, nested segments and
+    branches, some of them disjoint, with support on, above and below them."""
+    pool = draw(st.lists(sweep_node(SWEEP_DEPTH), min_size=1, max_size=4))
+    intervals = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = below(draw, draw(st.sampled_from(pool)), 2)
+        if draw(st.booleans()):
+            intervals.append(Segment(start, below(draw, start, 4)))
+        else:
+            tail = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+            intervals.append(BranchPrefix(start, tuple(tail)))
+    nodes = draw(st.lists(sweep_node(SWEEP_DEPTH), max_size=8))
+    for iv in intervals:
+        top = iv.start if isinstance(iv, Segment) else iv.stem
+        level = top.level + draw(st.integers(-1, 3))
+        if level < top.level:
+            nodes.append(top.prefix(max(level, 0)))
+        elif isinstance(iv, BranchPrefix):
+            nodes.append(iv.node_at_level(level))
+        elif level <= iv.end.level:
+            nodes.append(iv.end.prefix(level))
+    if backend == EXACT:
+        value = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 6))
+    else:  # magnitudes far apart, so the order of the additions shows
+        value = st.floats(-1e300, 1e300).filter(bool)
+    x = vec({node: draw(value) for node in nodes}, backend)
+    return x, intervals
+
+
+def greedy_disjoint(intervals):
+    kept = []
+    for iv in intervals:
+        if all(disjoint(iv, other) for other in kept):
+            kept.append(iv)
+    return kept
+
+
+@SWEEP
+@given(st.sampled_from([EXACT, FLOAT]).flatmap(sweep_cases))
+@example((vec({}), [Segment.parse("..0"), BranchPrefix(ROOT, (1,))]))
+@example((vec({"0": 1}), []))
+def test_property_interval_sums_equal_the_scan(case):
+    x, intervals = case
+    for family in (intervals, greedy_disjoint(intervals)):
+        got = interval_sums(family, x)
+        want = [scan_interval_sum(iv, x) for iv in family]
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+@SWEEP
+@given(sweep_cases(EXACT))
+def test_property_first_overlap_matches_pairwise_disjoint(case):
+    _, intervals = case
+    for family in (intervals, greedy_disjoint(intervals)):
+        meeting = [
+            (i, j)
+            for i, j in itertools.combinations(range(len(family)), 2)
+            if not disjoint(family[i], family[j])
+        ]
+        pair = first_overlap(family)
+        assert pair in meeting if meeting else pair is None
