@@ -30,6 +30,14 @@ def _emit(doc) -> None:
     print(json.dumps(doc, allow_nan=False))
 
 
+def _render(name: str, value):
+    try:
+        return scalar_to_json(value)
+    except ValueError:  # a rational past the interpreter's int-to-text digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{name} has more digits than the int-to-text limit {limit}") from None
+
+
 def _cmd_norm(args) -> int:
     x = load_vector(args.vector, args.backend)
     if args.method == "oracle":
@@ -37,7 +45,7 @@ def _cmd_norm(args) -> int:
     else:
         witness = jt_norm(x)
     doc = {
-        "value_squared": scalar_to_json(witness.value_squared),
+        "value_squared": _render("value_squared", witness.value_squared),
         "value": witness.value,
         "method": args.method,
         "backend": args.backend,
@@ -56,7 +64,7 @@ def _cmd_eval(args) -> int:
         decimal = float(value)
     except OverflowError:
         raise OverflowError("the value of the functional exceeds binary64") from None
-    _emit({"value": scalar_to_json(value), "value_decimal": decimal})
+    _emit({"value": _render("value", value), "value_decimal": decimal})
     return 0
 
 

@@ -4,19 +4,18 @@ The squared norm of a finitely supported vector x is the maximum of
 
     sum_i ( sum over nodes s in F_i of x_s )^2
 
-over finite families {F_i} of pairwise disjoint segments.  Two engines
-compute it:
+over finite families {F_i} of pairwise disjoint segments.  Everything
+here reads one lifted support forest of x, built by one preorder sweep on
+an ancestor stack: the support in preorder, a node's parent its deepest
+proper support ancestor, and P(b), the sum of x over b's root path scaled
+to an integer by the lcm L of the denominators (every value is p/q).
 
-* ``jt_norm(x)`` solves it as a maximum-square path partition of the
-  support forest, where a support node's parent is its deepest proper
-  support ancestor: adding a disjoint segment never lowers the value, and
-  trimmed segments meet iff their support nodes do.  With P(b) the sum of
-  x over b's root path and q the value of P above a path's top, a path
-  down to b is worth q^2 + (-2P(b)*q + P(b)^2 + rest), a line in q, so a
-  mergeable Li Chao tree per subtree finds each node's best path.  Both
-  backends run it on integers: every value is p/q, the DP scales by the
-  lcm L of the denominators and divides by L^2 once, so a float result is
-  the correctly rounded exact optimum of its binary64 inputs.
+* ``jt_norm(x)`` solves the norm as a maximum-square path partition of
+  the support forest: adding a disjoint segment never lowers the value,
+  and trimmed segments meet iff their support nodes do.  With q the value
+  of P above a path's top, a path down to b is worth q^2 + (-2P(b)*q +
+  P(b)^2 + rest), a line in q, so a mergeable Li Chao tree per subtree
+  finds each node's best path.
 
 * ``brute_force_norm`` exhaustively searches disjoint subfamilies of the
   candidate segments (both endpoints in the support) and is the oracle
@@ -24,15 +23,13 @@ compute it:
   nodes changes neither its sum nor disjointness, so restricting to these
   candidates loses nothing.
 
-``interval_sums`` is the one sum of a vector over segments and branches:
-one preorder sweep of the support and a query node per interval, so many
-disjoint intervals cost about as much as the support.  ``eval_interval``
-is its one-interval form, and ``first_overlap`` checks a whole family's
-disjointness in the same preorder.
-
-All arithmetic stays on squared values; on the exact backend no square
-root is ever taken, so oracle-vs-DP comparisons are literal equality.
-The one root, for display, is rounded once (``rounded_root``).
+``interval_sums`` sums x over segments and branches as differences of P,
+and ``first_overlap`` checks a family's disjointness with the sweep of its
+starts.  Every result is an integer over L or L^2 divided once by
+``_scalar``, the one reader of the backend: exact, or on the float backend
+the exact value of its binary64 inputs rounded once.  No square root is
+taken on the way, so oracle-vs-DP comparisons are literal equality; the
+one root, for display, is rounded once (``rounded_root``).
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .nodes import Interval, Segment, disjoint, index_of, node_at
-from .vectors import EXACT, JTVector, Scalar, zero_scalar
+from .vectors import EXACT, JTVector, Scalar
 
 SegmentFamily = tuple[Segment, ...]
 
@@ -91,43 +88,28 @@ def rounded_root(p: int, q: int) -> float:
     return (2 * r + (r * r * q != scaled)) / (1 << (k + 1))
 
 
-def interval_sums(intervals: Sequence[Interval], x: JTVector) -> list[Scalar]:
-    """I*(x) for every interval, in one preorder sweep of the support.
+def _sweep(nodes: Sequence[int], queries: Sequence[int] = ()) -> tuple[list, list, list]:
+    """The one preorder sweep of node indices, on an ancestor stack.
 
-    An interval's support nodes are the support ancestors-or-self of one
-    query node that lie at or below the interval's top level: a segment's
-    end, or a branch's node at the deepest support level (its stem, when
-    that is deeper).  Sorted together in preorder, with a support node
-    before an equal query node, an ancestor stack gives each query its
-    deepest support ancestor-or-self, and the support-forest parents from
-    there are the interval's nodes, bottom-up.  Their values are added
-    top-down from zero, the order of a scan in enumeration order, so float
-    sums round as such a scan would.  The walks of pairwise disjoint
-    intervals visit each support node at most once.
+    Padded to one width, a node's subtree is one range of keys; the stack
+    holds the ranges still open.  Returns the positions of ``nodes`` in
+    preorder (an ancestor first, equal nodes in input order); per preorder
+    position, that of the nearest earlier node at or above it; and per
+    query, that of its deepest ancestor-or-self among the nodes.  -1 is
+    none, as for the query 0, the root's parent.
     """
-    ids = [node.index for node in x.entries]
-    values = list(x.entries.values())
-    depth = max(ids, default=1).bit_length() - 1  # the deepest support level
-    queries, tops = [], []  # per interval: its query node, its top node's bit length
-    for iv in intervals:
-        if isinstance(iv, Segment):
-            top, query = iv.start, iv.end
-        else:
-            top, query = iv.stem, iv.node_at_level(max(iv.stem.level, depth))
-        queries.append(query.index)
-        tops.append(top.index.bit_length())
-    width = max(ids + queries, default=1).bit_length()
-    items = []  # (preorder key, bit length, 0 for support or 1 for a query, position)
-    for kind, nodes in ((0, ids), (1, queries)):
-        for i, v in enumerate(nodes):
+    width = max([1, *nodes, *queries]).bit_length()
+    items = []  # (preorder key, bit length, 0 for a node or 1 for a query, position)
+    for kind, group in ((0, nodes), (1, queries)):
+        for i, v in enumerate(group):
             bits = v.bit_length()
             items.append((v << (width - bits), bits, kind, i))
     items.sort()
 
-    parent = [-1] * len(ids)  # deepest proper support ancestor
-    bits_of = [0] * len(ids)
-    deepest = [-1] * len(queries)  # deepest support ancestor-or-self
-    stack: list[tuple[int, int]] = []  # (subtree's key end, support position)
+    order: list[int] = []
+    parent: list[int] = []
+    deepest = [-1] * len(queries)
+    stack: list[tuple[int, int]] = []  # (subtree's key end, preorder position)
     for key, bits, kind, i in items:
         while stack and key >= stack[-1][0]:
             stack.pop()
@@ -135,21 +117,63 @@ def interval_sums(intervals: Sequence[Interval], x: JTVector) -> list[Scalar]:
         if kind:
             deepest[i] = top
         else:
-            parent[i], bits_of[i] = top, bits
-            stack.append((key + (1 << (width - bits)), i))
+            stack.append((key + (1 << (width - bits)), len(order)))
+            order.append(i)
+            parent.append(top)
+    return order, parent, deepest
 
-    zero = zero_scalar(x.backend)
-    sums = []
-    for top_bits, i in zip(tops, deepest):
-        path = []
-        while i >= 0 and bits_of[i] >= top_bits:
-            path.append(values[i])
-            i = parent[i]
-        total = zero
-        for v in reversed(path):
-            total += v
-        sums.append(total)
-    return sums
+
+def _lift(x: JTVector, intervals: Sequence[Interval] = ()) -> tuple[list, list, list, int, list]:
+    """The support forest of x on integers, and every interval's sum on it.
+
+    Returns the support's indices in preorder, their parents (-1 for a
+    root), the prefix sums P of x over the root paths times L, the lcm L
+    of the denominators, and each interval's sum times L.  P[-1] = 0 is
+    the sum above a root.  A segment s..t sums to P(t) - P(s >> 1), each P
+    read at the query's deepest support ancestor-or-self (s >> 1 is 0 for
+    the root, which has nothing above it).  A branch sums as the segment
+    from its stem to its node at the deepest support level, or to its stem
+    when that is deeper.
+    """
+    nodes = [index_of(node) for node in x.entries]
+    depth = max(nodes, default=1).bit_length() - 1
+    queries = []
+    for iv in intervals:
+        if isinstance(iv, Segment):
+            top, end = iv.start, iv.end
+        else:
+            top, end = iv.stem, iv.node_at_level(max(iv.stem.level, depth))
+        queries += (end.index, top.index >> 1)
+    order, parent, deepest = _sweep(nodes, queries)
+    values = list(x.entries.values())
+    ratios = [values[i].as_integer_ratio() for i in order]
+    scale = math.lcm(*(q for _, q in ratios))
+    prefix = [0] * (len(order) + 1)
+    for j, (p, q) in enumerate(ratios):
+        prefix[j] = p * (scale // q) + prefix[parent[j]]
+    sums = [prefix[e] - prefix[t] for e, t in zip(deepest[::2], deepest[1::2])]
+    return [nodes[i] for i in order], parent, prefix, scale, sums
+
+
+def _scalar(p: int, q: int, backend: str, what: str) -> Scalar:
+    """p/q as the backend's scalar: exact, or rounded once to binary64."""
+    if backend == EXACT:
+        return Fraction(p, q)
+    try:
+        return p / q
+    except OverflowError:
+        raise OverflowError(f"{what} overflows binary64") from None
+
+
+def interval_sums(intervals: Sequence[Interval], x: JTVector) -> list[Scalar]:
+    """I*(x) for every interval: prefix differences on the lifted forest.
+
+    One sweep sorts the support with two query nodes per interval, so many
+    intervals, disjoint or not, cost about a sort of the support and the
+    queries.  A float sum is its exact value rounded once.
+    """
+    *_, scale, sums = _lift(x, intervals)
+    return [_scalar(s, scale, x.backend, "an interval sum") for s in sums]
 
 
 def first_overlap(intervals: Sequence[Interval]) -> tuple[int, int] | None:
@@ -157,26 +181,16 @@ def first_overlap(intervals: Sequence[Interval]) -> tuple[int, int] | None:
 
     Two intervals meet iff the one that starts deeper starts inside the
     other, and equal starts always meet.  In preorder of the starts, each
-    start is tested only against the nearest start at or above it, the top
-    of an ancestor stack: a farther interval that contains it also contains
+    start is tested only against the nearest start at or above it, its
+    parent in the sweep: a farther interval that contains it also contains
     that nearer start, a meeting found before.  One containment test per
     interval, after an O(m log m) sort.
     """
     starts = [iv.start if isinstance(iv, Segment) else iv.stem for iv in intervals]
-    width = max((s.index for s in starts), default=1).bit_length()
-    pads = [width - s.index.bit_length() for s in starts]
-    # preorder, an ancestor before the descendants that share its key;
-    # the sort is stable, so equal starts keep their order
-    order = sorted(range(len(starts)), key=lambda i: (starts[i].index << pads[i], -pads[i]))
-    stack: list[tuple[int, int]] = []  # (start's subtree key end, position)
-    for i in order:
-        key = starts[i].index << pads[i]
-        while stack and key >= stack[-1][0]:
-            stack.pop()
-        if stack and intervals[stack[-1][1]].contains(starts[i]):
-            j = stack[-1][1]
-            return min(i, j), max(i, j)
-        stack.append((key + (1 << pads[i]), i))
+    order, parent, _ = _sweep([s.index for s in starts])
+    for i, up in zip(order, parent):
+        if up >= 0 and intervals[order[up]].contains(starts[i]):
+            return min(i, order[up]), max(i, order[up])
     return None
 
 
@@ -192,10 +206,8 @@ def family_value_squared(x: JTVector, family: Iterable[Segment]) -> Scalar:
     if pair is not None:
         i, j = pair
         raise OverlappingSegmentsError(f"segments {segs[i]} and {segs[j]} overlap")
-    total = zero_scalar(x.backend)
-    for s in interval_sums(segs, x):
-        total += s * s
-    return total
+    *_, scale, sums = _lift(x, segs)
+    return _scalar(sum(s * s for s in sums), scale * scale, x.backend, "the family's value")
 
 
 def norm_lower_upper(x: JTVector) -> tuple[Scalar, Scalar]:
@@ -204,12 +216,10 @@ def norm_lower_upper(x: JTVector) -> tuple[Scalar, Scalar]:
     The lower bound is the all-singletons family; the upper bound holds
     because each node lands in at most one segment of a disjoint family.
     """
-    low = zero_scalar(x.backend)
-    high = zero_scalar(x.backend)
-    for _, v in x.entries.items():
-        low += v * v
-        high += abs(v)
-    return low, high * high
+    _, parent, prefix, scale, _ = _lift(x)
+    lifted = [abs(prefix[j] - prefix[up]) for j, up in enumerate(parent)]
+    low, high = sum(v * v for v in lifted), sum(lifted) ** 2
+    return tuple(_scalar(v, scale * scale, x.backend, "a norm bound") for v in (low, high))
 
 
 def candidate_segments(x: JTVector) -> list[Segment]:
@@ -226,7 +236,6 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
     is deterministic.  Intended as the small-instance oracle; raises once
     the candidate count exceeds ``max_candidates``.
     """
-    zero = zero_scalar(x.backend)
     cands = candidate_segments(x)
     n = len(cands)
     if n > max_candidates:
@@ -235,7 +244,8 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
         )
 
     keys = [(index_of(seg.start), index_of(seg.end)) for seg in cands]
-    squares = [s * s for s in interval_sums(cands, x)]
+    *_, scale, sums = _lift(x, cands)
+    squares = [s * s for s in sums]  # times L^2
 
     conflict = [0] * n  # bitmask of candidates overlapping candidate i
     for i in range(n):
@@ -245,18 +255,18 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
                 conflict[j] |= 1 << i
 
     # potential[i] bounds what candidates i.. can still contribute
-    potential = [zero] * (n + 1)
+    potential = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         potential[i] = potential[i + 1] + squares[i]
 
-    best_value = zero
+    best_value = 0
     best_rank: tuple = (0, [])
     best_family: list[int] = []
     chosen: list[int] = []
 
     # depth-first, taking candidate i before skipping it; a stack entry is
     # (next candidate, still allowed, value so far, len(chosen) on its path)
-    stack = [(0, (1 << n) - 1, zero, 0)]
+    stack = [(0, (1 << n) - 1, 0, 0)]
     while stack:
         i, allowed, value, depth = stack.pop()
         del chosen[depth:]
@@ -274,7 +284,7 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
         stack.append((i + 1, allowed & ~conflict[i], taken, depth + 1))
 
     family = tuple(cands[i] for i in best_family)
-    return NormWitness(best_value, family)
+    return NormWitness(_scalar(best_value, scale * scale, x.backend, "the squared norm"), family)
 
 
 def _merge(t: list, u, d: int, lo: int, hi: int, points: list, slope: list) -> list:
@@ -313,27 +323,9 @@ def jt_norm(x: JTVector) -> NormWitness:
     end index).  The value is exact on the exact backend and the correctly
     rounded exact optimum on the float backend.
     """
-    vals = {index_of(node): v for node, v in x.entries.items()}
-    width = max(vals, default=0).bit_length()
-    ids = sorted(vals, key=lambda v: (v << (width - v.bit_length()), v))  # preorder
+    ids, parent, prefix, scale, _ = _lift(x)  # positions 0..n-1 in preorder
     n = len(ids)
-    ratios = [vals[v].as_integer_ratio() for v in ids]
-    scale = math.lcm(*(q for _, q in ratios))
-
-    # support forest on positions 0..n-1: a node's parent is its deepest proper
-    # support ancestor, the last (subtree's padded key end, position) on the stack
-    parent = [-1] * n
-    prefix = [0] * n  # sum of the lifted values over the root path
-    stack: list[tuple[int, int]] = []
-    for i, v in enumerate(ids):
-        pad = width - v.bit_length()
-        while stack and v << pad >= stack[-1][0]:
-            stack.pop()
-        p, q = ratios[i]
-        parent[i] = stack[-1][1] if stack else -1
-        prefix[i] = p * (scale // q) + (prefix[parent[i]] if stack else 0)
-        stack.append(((v + 1) << pad, i))
-    above = [prefix[p] if p >= 0 else 0 for p in parent]
+    above = [prefix[p] for p in parent]  # P above a node; prefix[-1] is 0
     points = sorted(set(above))
     last = len(points) - 1
     slope = [2 * p for p in prefix]  # a path down to b is the line c - slope[b]*a
@@ -379,9 +371,4 @@ def jt_norm(x: JTVector) -> NormWitness:
                 end[b] = -1
                 b = parent[b]
     segments = tuple(Segment(node_at(a), node_at(b)) for a, b in sorted(family))
-    if x.backend == EXACT:
-        return NormWitness(Fraction(total, scale * scale), segments)
-    try:
-        return NormWitness(total / (scale * scale), segments)
-    except OverflowError:
-        raise OverflowError("the squared norm overflows binary64") from None
+    return NormWitness(_scalar(total, scale * scale, x.backend, "the squared norm"), segments)

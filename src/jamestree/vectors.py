@@ -43,9 +43,9 @@ def zero_scalar(backend: str):
 def as_scalar(value, backend: str) -> Scalar:
     """Coerce a user-supplied number into the backend's scalar type.
 
-    The exact backend takes ints, Fractions and "p/q" strings; floats are
-    rejected there (no silent binary-to-rational reinterpretation).  The
-    float backend takes ints and floats only, and only finite ones.
+    The exact backend takes ints, Fractions and "p/q" strings, each side
+    bounded like a number literal, and no floats (no silent binary-to-
+    rational reading).  The float backend takes finite ints and floats.
     """
     if backend == EXACT:
         if isinstance(value, bool):
@@ -54,7 +54,11 @@ def as_scalar(value, backend: str) -> Scalar:
             return Fraction(value)
         if isinstance(value, str):
             try:
+                for side in value.split("/"):
+                    _bounded_literal(side)
                 return Fraction(value)
+            except VectorFormatError:
+                raise
             except (ValueError, ZeroDivisionError) as exc:
                 raise VectorFormatError(f"bad rational literal {value!r}") from exc
         raise BackendMismatchError(
@@ -214,13 +218,14 @@ def vector_from_json_dict(obj, backend: str) -> JTVector:
 
 
 def _bounded_literal(literal: str) -> str:
-    """A JSON number literal, refused when its square could not be printed.
+    """A number literal, refused when its square could not be printed.
 
-    A literal of d digits and exponent e has a value whose numerator and
-    denominator have at most d + |e| digits, and a squared norm doubles
-    them.  So d + |e| past half the interpreter's int-to-text limit is
-    refused before the value is built; expanding 1e800000 alone costs time
-    linear in the exponent.
+    Literals are JSON numbers and the sides of "p/q" strings.  A literal
+    of d digits and exponent e has a value whose numerator and denominator
+    have at most d + |e| digits, and a squared norm doubles them.  So
+    d + |e| past half the interpreter's int-to-text limit is refused
+    before the value is built; expanding 1e800000 alone costs time linear
+    in the exponent.
     """
     # the limit (0 = none) exists from Python 3.10.7 and 3.11 on
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -263,9 +268,8 @@ def loads_json(text: str, backend: str = EXACT):
     repeated within one object is rejected, not silently overwritten.
     """
     try:
-        exact = {"parse_float": _exact_decimal, "parse_int": _exact_int}
-        hooks = exact if backend == EXACT else {}
-        return json.loads(text, object_pairs_hook=_unique_keys, **hooks)
+        exact = {"parse_float": _exact_decimal} if backend == EXACT else {}
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_exact_int, **exact)
     except json.JSONDecodeError as exc:
         raise VectorFormatError(f"invalid JSON: {exc}") from exc
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -182,6 +183,42 @@ def test_norm_renders_an_exponent_below_the_bound(tmp_path, capsys):
     vector = write(tmp_path, "x.json", '{"": 1e2100}')
     assert run(["norm", vector]) == 2
     assert "binary64" in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "value, named",
+    [
+        pytest.param("1e30000000", "1e30000000", id="exponent"),
+        pytest.param("7" * 3000 + "/3", "7" * 3000, id="3000-digit-numerator"),
+        pytest.param("3/" + "7" * 3000, "7" * 3000, id="3000-digit-denominator"),
+    ],
+)
+def test_norm_bounds_string_values_like_literals(tmp_path, capsys, value, named):
+    # refused while parsing, before 10^30000000 is built or a square rendered
+    vector = write(tmp_path, "x.json", json.dumps({"": value}))
+    assert run(["norm", vector]) == 2
+    error = assert_one_error_line(capsys)
+    assert named in error and "digit limit" in error
+
+
+def test_norm_float_backend_bounds_int_literals(tmp_path, capsys):
+    literal = "1" + "0" * 4999
+    vector = write(tmp_path, "x.json", f'{{"": {literal}}}')
+    assert run(["norm", vector, "--backend", "float"]) == 2
+    assert literal in assert_one_error_line(capsys)
+    # within the bound, the value itself is refused as beyond binary64
+    vector = write(tmp_path, "x.json", f'{{"": 1{"0" * 400}}}')
+    assert run(["norm", vector, "--backend", "float"]) == 2
+    assert "binary64" in assert_one_error_line(capsys)
+
+
+def test_norm_names_a_value_squared_too_long_to_print(tmp_path, capsys):
+    # 40 short literals; the lcm of their denominators passes the digit limit
+    doc = {bin(i + 1)[3:]: f"1/{10**120 + 2 * i + 1}" for i in range(40)}
+    vector = write(tmp_path, "x.json", json.dumps(doc))
+    assert run(["norm", vector]) == 2
+    error = assert_one_error_line(capsys)
+    assert "value_squared" in error and str(sys.get_int_max_str_digits()) in error
 
 
 def test_norm_value_is_the_correctly_rounded_root(tmp_path, capsys):

@@ -637,6 +637,8 @@ def test_interval_sums_examples():
         Segment.parse("01..01"): 4,
         Segment.parse("..0110"): 15,  # ends below the support
         Segment.parse("010..0100"): 0,
+        Segment.parse("..01"): 7,  # topped by the root, which has nothing above it
+        BranchPrefix(ROOT, (1,)): 17,
         BranchPrefix(NodeId.parse("0"), (1,)): 14,  # support below the stem
         BranchPrefix(NodeId.parse("1"), (0,)): 48,
         BranchPrefix(NodeId.parse("1000"), (0,)): 0,  # stem below the support
@@ -644,6 +646,12 @@ def test_interval_sums_examples():
     assert interval_sums(list(expected), x) == list(expected.values())
     assert interval_sums([], x) == []
     assert interval_sums(list(expected), JTVector.zero(FLOAT)) == [0.0] * len(expected)
+
+
+def test_interval_sums_float_overflow_names_binary64():
+    x = vec({"": 1e308, "0": 1e308}, FLOAT)
+    with pytest.raises(OverflowError, match="binary64"):
+        interval_sums([Segment.parse("..0")], x)
 
 
 def test_first_overlap_examples():
@@ -699,7 +707,7 @@ def sweep_cases(draw, backend):
             nodes.append(iv.end.prefix(level))
     if backend == EXACT:
         value = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 6))
-    else:  # magnitudes far apart, so the order of the additions shows
+    else:  # magnitudes far apart, so one rounding differs from one per addition
         value = st.floats(-1e300, 1e300).filter(bool)
     x = vec({node: draw(value) for node in nodes}, backend)
     return x, intervals
@@ -717,12 +725,52 @@ def greedy_disjoint(intervals):
 @given(st.sampled_from([EXACT, FLOAT]).flatmap(sweep_cases))
 @example((vec({}), [Segment.parse("..0"), BranchPrefix(ROOT, (1,))]))
 @example((vec({"0": 1}), []))
+@example((vec({"": 1.0, "0": 1e-16, "00": 1e-16}, FLOAT), [Segment.parse("..00")]))
 def test_property_interval_sums_equal_the_scan(case):
+    # a float sum is the exact scan of the same binary64 values, rounded once
     x, intervals = case
+    exact = x if x.backend == EXACT else exact_of(x)
     for family in (intervals, greedy_disjoint(intervals)):
         got = interval_sums(family, x)
-        want = [scan_interval_sum(iv, x) for iv in family]
+        want = [scan_interval_sum(iv, exact) for iv in family]
+        if x.backend == FLOAT:
+            want = [float(v) for v in want]
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+def assert_rounded_once(call, xf):
+    """call(xf) is float(call(exact_of(xf))), or raises when that overflows."""
+    want = call(exact_of(xf))
+    try:
+        want = float(want)
+    except OverflowError:
+        with pytest.raises(OverflowError, match="binary64"):
+            call(xf)
+        return
+    got = call(xf)
+    assert type(got) is float and got == want
+
+
+@SWEEP
+@given(
+    st.dictionaries(
+        sweep_node(3),
+        st.one_of(st.floats(-1e150, 1e150), st.floats(-1e300, 1e300)).filter(bool),
+        max_size=5,
+    )
+)
+@example({ROOT: 1.0, NodeId.parse("0"): 1e-16, NodeId.parse("00"): 1e-16})
+def test_property_float_results_are_the_exact_values_rounded_once(entries):
+    xf = vec(entries, FLOAT)
+    exact = brute_force_norm(exact_of(xf))
+    assert_rounded_once(lambda v: family_value_squared(v, exact.family), xf)
+    assert_rounded_once(lambda v: norm_lower_upper(v)[0], xf)
+    assert_rounded_once(lambda v: norm_lower_upper(v)[1], xf)
+    assert_rounded_once(lambda v: brute_force_norm(v).value_squared, xf)
+    try:
+        assert brute_force_norm(xf).family == exact.family
+    except OverflowError:
+        pass  # the value overflowed, checked above
 
 
 @SWEEP
