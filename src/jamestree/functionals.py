@@ -9,13 +9,15 @@ coefficient of term i is weight_i / sqrt(scale_squared).  Identities are
 then checked on squares, where everything is rational.
 
 Every evaluation and check works on the whole family at once: the
-interval sums come from one ``interval_sums`` sweep of the support, and
+interval sums come from one sweep of the support's lifted forest, and
 disjointness from one ``first_overlap`` sweep of the starts, so a
-norming element costs about as much as the norm it attains.
+norming element costs about as much as the norm it attains.  A float
+evaluation is the exact value of its inputs, rounded once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -28,7 +30,7 @@ from .nodes import (
     separation_level,
 )
 # eval_interval is re-exported: the interval functionals live here
-from .norm import eval_interval, first_overlap, interval_sums, jt_norm, rounded_root
+from .norm import _lift, _scalar, eval_interval, first_overlap, interval_sums, jt_norm, rounded_root
 from .vectors import (
     EXACT,
     BackendMismatchError,
@@ -38,7 +40,6 @@ from .vectors import (
     as_scalar,
     loads_json,
     scalar_to_json,
-    zero_scalar,
 )
 
 
@@ -97,9 +98,7 @@ class KStarElement:
     def validate(self) -> None:
         if self.scale_squared <= 0:
             raise InvalidKStarError("scale_squared must be positive")
-        weight_sq = zero_scalar(self.backend)
-        for w, _ in self.terms:
-            weight_sq += w * w
+        weight_sq = sum(w * w for w, _ in self.terms)
         if self.backend == EXACT:
             if weight_sq > self.scale_squared:
                 raise InvalidKStarError(
@@ -115,26 +114,31 @@ class KStarElement:
             raise InvalidKStarError(f"intervals {intervals[i]} and {intervals[j]} overlap")
 
 
-def _weighted_sum(k: KStarElement, x: JTVector) -> Scalar:
+def _weighted_sum(k: KStarElement, x: JTVector) -> tuple[int, int]:
+    """sum_i w_i I_i*(x) as s / d on ints, for the caller to round once.
+
+    With w_i = p_i / q_i, W the lcm of the q_i and S_i = L * I_i*(x) the
+    lifted interval sums, the sum is sum_i p_i * (W / q_i) * S_i over W * L.
+    """
     if k.backend != x.backend:
         raise BackendMismatchError(
             f"cannot evaluate {k.backend} functional on {x.backend} vector"
         )
-    total = zero_scalar(x.backend)
-    sums = interval_sums([iv for _, iv in k.terms], x)
-    for (w, _), s in zip(k.terms, sums):
-        total += w * s
-    return total
+    *_, scale, sums = _lift(x, [iv for _, iv in k.terms])
+    ratios = [w.as_integer_ratio() for w, _ in k.terms]
+    common = math.lcm(*(q for _, q in ratios))
+    return sum(p * (common // q) * s for (p, q), s in zip(ratios, sums)), common * scale
 
 
 def eval_kstar_squared(k: KStarElement, x: JTVector) -> Scalar:
-    """Square of the evaluation, exact on the exact backend.
+    """Square of the evaluation: exact, or its exact value rounded once.
 
     (sum_i w_i I_i*(x))^2 / scale_squared is rational whenever the inputs
     are, even though the evaluation itself may be irrational.
     """
-    s = _weighted_sum(k, x)
-    return s * s / k.scale_squared
+    s, d = _weighted_sum(k, x)
+    a, b = k.scale_squared.as_integer_ratio()
+    return _scalar(s * s * b, d * d * a, x.backend, "the squared value")
 
 
 def eval_kstar(k: KStarElement, x: JTVector) -> Scalar:
@@ -142,14 +146,14 @@ def eval_kstar(k: KStarElement, x: JTVector) -> Scalar:
 
     With a nontrivial scale the true value carries a square root, so it is
     returned as the binary64 nearest s / sqrt(scale_squared); exact identity
-    checks should use eval_kstar_squared instead.
+    checks should use eval_kstar_squared instead.  Either way a float is
+    the exact value of the inputs rounded once.
     """
-    s = _weighted_sum(k, x)
+    s, d = _weighted_sum(k, x)
     if k.scale_squared == 1:
-        return s
-    a, b = s.as_integer_ratio()
-    c, d = k.scale_squared.as_integer_ratio()
-    root = rounded_root(a * a * d, b * b * c)
+        return _scalar(s, d, x.backend, "the value")
+    a, b = k.scale_squared.as_integer_ratio()
+    root = rounded_root(s * s * b, d * d * a)
     return -root if s < 0 else root
 
 
@@ -191,7 +195,7 @@ def interval_from_json(obj, what: str = "interval") -> Interval:
             raise VectorFormatError("branch_stem and tail must be bit strings")
         try:
             stem = NodeId.parse(stem_text)
-            if not tail_text or any(ch not in "01" for ch in tail_text):
+            if not tail_text or tail_text.strip("01"):
                 raise ValueError(f"tail must be a nonempty 0/1 string, got {tail_text!r}")
             return BranchPrefix(stem, tuple(int(ch) for ch in tail_text))
         except ValueError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .nodes import BranchPrefix, Interval, NodeId, Segment, index_of, node_at
+from .nodes import BranchPrefix, Interval, NodeId, Segment, node_at
 from .norm import brute_force_norm, interval_sums, jt_norm
 from .functionals import KStarElement, interval_to_json
 from .vectors import (
@@ -150,11 +150,10 @@ class BlockSequence:
             if u.is_zero:
                 raise ValueError(f"block {k + 1} is zero")
             lo, hi = self.boundaries[k], self.boundaries[k + 1]
-            for node in u.support():
-                i = index_of(node)
+            for i in (min(u.entries), max(u.entries)):
                 if not lo < i <= hi:
                     raise ValueError(
-                        f"block {k + 1} touches t_{i} outside its window ({lo}, {hi}]"
+                        f"block {k + 1} touches t_{i:d} outside its window ({lo}, {hi}]"
                     )
 
     @classmethod
@@ -165,8 +164,8 @@ class BlockSequence:
             raise ValueError("need at least one block")
         if any(u.is_zero for u in blocks):
             raise ValueError("blocks must be nonzero")
-        first = min(index_of(node) for node in blocks[0].support())
-        ends = [max(index_of(node) for node in u.support()) for u in blocks]
+        first = min(blocks[0].entries)
+        ends = [int(max(u.entries)) for u in blocks]
         return cls(blocks, (first - 1, *ends))
 
     @property
@@ -524,7 +523,7 @@ def run_l1_decay(seed: int = 0, trials: int | None = None) -> ExperimentReport:
 def run_w_cauchy(seed: int = 0, trials: int | None = None) -> ExperimentReport:
     rng = substream(seed, 0)
     x = random_vector(rng, max_support=6, max_depth=4)
-    stop = max(index_of(node) for node in x.support())
+    stop = max(x.entries)
     steps = stop + max(4, 0 if trials is None else trials)
     seq = [x.partial_sum(k) for k in range(1, steps + 1)]
     intervals: list[Interval] = [

@@ -11,11 +11,12 @@ The canonical enumeration lists nodes level by level, within a level in
 binary-counter order: root, (0), (1), (0,0), (0,1), (1,0), (1,1), ...
 Indices are 1-based, so the node at index n sits at level floor(log2 n).
 
-A ``NodeId`` is stored as its enumeration index and nothing else: a
-leading 1 followed by the node's bits, so the root is 1, the children of
-v are 2v and 2v + 1, and the parent of v is v >> 1.  Nodes order by
-enumeration, and the node algebra below is shifts and compares on that
-one int; the bit tuple and the text form are derived from it on demand.
+A ``NodeId`` is an int: its enumeration index, a leading 1 followed by
+the node's bits, so the root is 1, the children of v are 2v and 2v + 1,
+and the parent of v is v >> 1.  It equals and hashes as that int
+(``NodeId("") == 1``), so nodes order by enumeration, and arithmetic on
+it yields a plain int.  The node algebra below is shifts and compares on
+the node itself; the bit tuple and the text form are derived on demand.
 """
 
 from __future__ import annotations
@@ -35,29 +36,30 @@ def _coerce_bits(bits: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True, order=True, init=False)
-class NodeId:
-    """A tree node, stored as its 1-based enumeration index.
+class NodeId(int):
+    """A tree node: an int whose value is its 1-based enumeration index.
 
     ``NodeId(bits)`` takes the root path, most significant bit first.
     """
 
-    index: int
+    __slots__ = ()
 
-    def __init__(self, bits: Iterable[int] = ()) -> None:
+    def __new__(cls, bits: Iterable[int] = ()) -> "NodeId":
         text = "".join(map(str, _coerce_bits(bits)))
-        object.__setattr__(self, "index", int("1" + text, 2))
+        return int.__new__(cls, int("1" + text, 2))
 
     @classmethod
     def _at(cls, index: int) -> "NodeId":
-        node = object.__new__(cls)
-        object.__setattr__(node, "index", index)
-        return node
+        return int.__new__(cls, index)
+
+    def __reduce__(self):
+        # the int's own reduction would pass the index to __new__ as bits
+        return node_at, (int(self),)
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
         """Parse the textual form: a string of '0'/'1', empty meaning root."""
-        if not all(ch in "01" for ch in text):
+        if text.strip("01"):
             raise ValueError(f"invalid node string {text!r}")
         return cls._at(int("1" + text, 2))
 
@@ -67,37 +69,34 @@ class NodeId:
 
     @property
     def level(self) -> int:
-        return self.index.bit_length() - 1
+        return self.bit_length() - 1
 
     @property
     def is_root(self) -> bool:
-        return self.index == 1
+        return self == 1
 
     def child(self, bit: int) -> "NodeId":
         if bit not in (0, 1):
             raise ValueError(f"node bits must be 0 or 1, got {bit!r}")
-        return NodeId._at(2 * self.index + int(bit))
+        return NodeId._at(2 * self + int(bit))
 
     def parent(self) -> "NodeId":
         if self.is_root:
             raise ValueError("the root has no parent")
-        return NodeId._at(self.index >> 1)
+        return NodeId._at(self >> 1)
 
     def prefix(self, length: int) -> "NodeId":
         if not 0 <= length <= self.level:
             raise ValueError(f"prefix length {length} out of range")
-        return NodeId._at(self.index >> (self.level - length))
+        return NodeId._at(self >> (self.level - length))
 
     def precedes(self, other: "NodeId") -> bool:
         """True when self lies on the root path of other (or equals it)."""
         shift = other.level - self.level
-        return shift >= 0 and other.index >> shift == self.index
-
-    def comparable(self, other: "NodeId") -> bool:
-        return self.precedes(other) or other.precedes(self)
+        return shift >= 0 and other >> shift == self
 
     def __str__(self) -> str:
-        return bin(self.index)[3:]
+        return bin(self)[3:]
 
     def __repr__(self) -> str:
         return f"NodeId({str(self)!r})"
@@ -119,20 +118,16 @@ def node_at(n: int) -> NodeId:
 
 def index_of(node: NodeId) -> int:
     """Inverse of node_at: the 1-based enumeration index of a node."""
-    return node.index
+    return int(node)
 
 
 def successor(node: NodeId) -> NodeId:
-    """Next node in enumeration order, as a binary-counter step.
+    """Next node in enumeration order: the next index.
 
-    All bits 1 (or root) rolls over to the all-zero sequence one longer;
-    otherwise the last 0 flips to 1 and everything after it resets to 0.
+    As a binary-counter step on the bits, all bits 1 (or root) rolls over
+    to the all-zero sequence one longer.
     """
-    bits = node.bits
-    if all(b == 1 for b in bits):
-        return NodeId((0,) * (len(bits) + 1))
-    i0 = max(i for i, b in enumerate(bits) if b == 0)
-    return NodeId(bits[:i0] + (1,) + (0,) * (len(bits) - i0 - 1))
+    return NodeId._at(node + 1)
 
 
 def enumerate_nodes(count: int) -> list[NodeId]:
@@ -171,7 +166,7 @@ class Segment:
 
     def nodes(self) -> list[NodeId]:
         """All nodes of the segment in top-down order."""
-        end, depth = self.end.index, self.end.level
+        end, depth = self.end, self.end.level
         return [NodeId._at(end >> (depth - k)) for k in range(self.start.level, depth + 1)]
 
     def contains(self, node: NodeId) -> bool:
@@ -207,7 +202,7 @@ class BranchPrefix:
         """Bit i (0-based from the root) of the branch's direction sequence."""
         stem = self.stem
         if i < stem.level:
-            return (stem.index >> (stem.level - 1 - i)) & 1
+            return (stem >> (stem.level - 1 - i)) & 1
         j = i - stem.level
         return self.tail[j] if j < len(self.tail) else self.tail[-1]
 
@@ -216,7 +211,7 @@ class BranchPrefix:
         depth = k - self.stem.level
         if depth < 0:
             raise ValueError(f"branch has no node above its stem (level {k})")
-        index = self.stem.index
+        index = self.stem
         for b in self.tail[:depth]:
             index = 2 * index + b
         repeat = depth - len(self.tail)
@@ -271,7 +266,7 @@ def separation_level(
         for j in range(i + 1, len(prefixes)):
             p, q = prefixes[i], prefixes[j]
             avail = min(p.level, q.level)
-            diff = p.prefix(avail).index ^ q.prefix(avail).index
+            diff = p.prefix(avail) ^ q.prefix(avail)
             if not diff:
                 raise InsufficientPrefixError(
                     f"insufficient prefix: {p!r} and {q!r} agree on all "

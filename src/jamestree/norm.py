@@ -39,7 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .nodes import Interval, Segment, disjoint, index_of, node_at
+# index_of and node_at are not called here: perfbench/spans.py patches both
+# names on this module, and tests/test_tooling.py checks that it still can
+from .nodes import Interval, Segment, disjoint, index_of, node_at  # noqa: F401
 from .vectors import EXACT, JTVector, Scalar
 
 SegmentFamily = tuple[Segment, ...]
@@ -135,7 +137,7 @@ def _lift(x: JTVector, intervals: Sequence[Interval] = ()) -> tuple[list, list, 
     from its stem to its node at the deepest support level, or to its stem
     when that is deeper.
     """
-    nodes = [index_of(node) for node in x.entries]
+    nodes = list(x.entries)
     depth = max(nodes, default=1).bit_length() - 1
     queries = []
     for iv in intervals:
@@ -143,7 +145,7 @@ def _lift(x: JTVector, intervals: Sequence[Interval] = ()) -> tuple[list, list, 
             top, end = iv.start, iv.end
         else:
             top, end = iv.stem, iv.node_at_level(max(iv.stem.level, depth))
-        queries += (end.index, top.index >> 1)
+        queries += (end, top >> 1)
     order, parent, deepest = _sweep(nodes, queries)
     values = list(x.entries.values())
     ratios = [values[i].as_integer_ratio() for i in order]
@@ -187,7 +189,7 @@ def first_overlap(intervals: Sequence[Interval]) -> tuple[int, int] | None:
     interval, after an O(m log m) sort.
     """
     starts = [iv.start if isinstance(iv, Segment) else iv.stem for iv in intervals]
-    order, parent, _ = _sweep([s.index for s in starts])
+    order, parent, _ = _sweep(starts)
     for i, up in zip(order, parent):
         if up >= 0 and intervals[order[up]].contains(starts[i]):
             return min(i, order[up]), max(i, order[up])
@@ -224,7 +226,7 @@ def norm_lower_upper(x: JTVector) -> tuple[Scalar, Scalar]:
 
 def candidate_segments(x: JTVector) -> list[Segment]:
     """All segments with both endpoints in supp(x), sorted by (start, end)."""
-    supp = sorted(x.support())
+    supp = sorted(x.entries)
     return [Segment(s, t) for s in supp for t in supp if s.precedes(t)]
 
 
@@ -243,7 +245,7 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
             f"{n} candidate segments exceed the oracle bound {max_candidates}"
         )
 
-    keys = [(index_of(seg.start), index_of(seg.end)) for seg in cands]
+    keys = [(seg.start, seg.end) for seg in cands]
     *_, scale, sums = _lift(x, cands)
     squares = [s * s for s in sums]  # times L^2
 
@@ -370,5 +372,5 @@ def jt_norm(x: JTVector) -> NormWitness:
             while b != i:
                 end[b] = -1
                 b = parent[b]
-    segments = tuple(Segment(node_at(a), node_at(b)) for a, b in sorted(family))
+    segments = tuple(Segment(a, b) for a, b in sorted(family))
     return NormWitness(_scalar(total, scale * scale, x.backend, "the squared norm"), segments)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .nodes import NodeId, index_of
+from .nodes import NodeId
 
 Scalar = Union[Fraction, float]
 
@@ -129,8 +129,7 @@ class JTVector:
 
     def items(self) -> list[tuple[NodeId, Scalar]]:
         """Entries in enumeration order (deterministic)."""
-        # keyed on the stored index: comparing NodeIds directly is ~10x slower
-        return sorted(self.entries.items(), key=lambda kv: kv[0].index)
+        return sorted(self.entries.items())
 
     def coordinate(self, node: NodeId) -> Scalar:
         """The biorthogonal coordinate functional: entry at node, 0 if absent."""
@@ -163,7 +162,7 @@ class JTVector:
         """Restriction to the first k nodes of the enumeration (1-based)."""
         if k < 0:
             raise ValueError(f"partial sum length must be >= 0, got {k}")
-        kept = {n: v for n, v in self.entries.items() if index_of(n) <= k}
+        kept = {n: v for n, v in self.entries.items() if n <= k}
         return JTVector(kept, self.backend)
 
     def to_float(self) -> "JTVector":
@@ -225,15 +224,15 @@ def _bounded_literal(literal: str) -> str:
     have at most d + |e| digits, and a squared norm doubles them.  So
     d + |e| past half the interpreter's int-to-text limit is refused
     before the value is built; expanding 1e800000 alone costs time linear
-    in the exponent.
+    in the exponent.  With no limit set, the default limit bounds it.
     """
-    # the limit (0 = none) exists from Python 3.10.7 and 3.11 on
+    # the limit (0 = none) and its default exist from Python 3.10.7 and 3.11 on
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = limit // 2
+    bound = (limit or getattr(sys.int_info, "default_max_str_digits", 4300)) // 2
     mantissa, _, exponent = literal.lower().partition("e")
     exponent = exponent.lstrip("+-").lstrip("0")
     digits = len(mantissa.lstrip("-").replace(".", ""))
-    if limit and (len(exponent) > len(str(bound)) or digits + int(exponent or 0) > bound):
+    if len(exponent) > len(str(bound)) or digits + int(exponent or 0) > bound:
         raise VectorFormatError(
             f"number literal {literal}: digits plus exponent beyond {bound}, "
             "half the digit limit"

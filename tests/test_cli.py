@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +204,23 @@ def test_norm_bounds_string_values_like_literals(tmp_path, capsys, value, named)
     assert named in error and "digit limit" in error
 
 
+@pytest.mark.parametrize(
+    "text", ['{"": "1e30000000"}', '{"": 1e30000000}'], ids=["string", "number"]
+)
+def test_literals_are_bounded_without_a_digit_limit(tmp_path, text):
+    # with the int-to-text limit off, the default limit bounds a literal
+    vector = write(tmp_path, "x.json", text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jamestree.cli", "norm", vector],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "1e30000000" in json.loads(proc.stderr)["error"]
+
+
 def test_norm_float_backend_bounds_int_literals(tmp_path, capsys):
     literal = "1" + "0" * 4999
     vector = write(tmp_path, "x.json", f'{{"": {literal}}}')
@@ -263,6 +283,20 @@ def test_eval_scaled_value_is_decimal(tmp_path, capsys):
     doc = out_doc(capsys)
     assert doc["value"] == pytest.approx(math.sqrt(2.0))
     assert isinstance(doc["value"], float)
+
+
+@pytest.mark.parametrize(
+    "scale, expected", [(4, 0.5000000000000001), (3, 0.5773502691896258)]
+)
+def test_eval_float_rounds_once(tmp_path, capsys, scale, expected):
+    # summed in binary64 term by term, these print 0.5 and 0.5773502691896257
+    terms = [{"alpha": 1, "interval": iv} for iv in ("..", "0..0", "1..1")]
+    functional = write(
+        tmp_path, "k.json", json.dumps({"terms": terms, "scale_squared": scale})
+    )
+    vector = write(tmp_path, "x.json", '{"": 1.0, "0": 1e-16, "1": 1e-16}')
+    assert run(["eval", functional, vector, "--backend", "float"]) == 0
+    assert out_doc(capsys) == {"value": expected, "value_decimal": expected}
 
 
 def test_eval_rejects_invalid_functional(tmp_path, capsys):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jamestree.functionals import (
     InvalidKStarError,
@@ -305,6 +307,36 @@ def test_eval_kstar_scaled_sum_beyond_binary64():
     # k*(x) = -10^400 / sqrt(2 * 10^800): the sum overflows binary64, the value does not
     k = KStarElement.from_terms([(-(10**400), Segment.parse(".."))], scale_squared=2 * 10**800)
     assert eval_kstar(k, vec({"": 1})) == -math.sqrt(0.5)
+    # on floats too: the squared sum (2e200)^2 overflows, its quotient by 1e308 does not
+    x = vec({"": 1e200, "0": 1e200}, FLOAT)
+    k = KStarElement.from_terms([(1.0, Segment.parse("..0"))], FLOAT, 1e308)
+    assert eval_kstar_squared(k, x) == float((2 * Fraction(1e200)) ** 2 / Fraction(1e308))
+    k = KStarElement.from_terms([(1.0, Segment.parse("..0"))], FLOAT)
+    with pytest.raises(OverflowError, match="binary64"):
+        eval_kstar_squared(k, x)
+
+
+WEIGHTS = st.one_of(st.floats(-1, 1), st.floats(-1e6, 1e6))
+VALUES = st.floats(-1e6, 1e6, allow_subnormal=True)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(0, 1 << 32),
+    st.lists(WEIGHTS, min_size=4, max_size=4),  # random_kstar draws at most 4 terms
+    st.dictionaries(st.integers(1, 127).map(node_at), VALUES, max_size=10),
+)
+@example(1, [0.9153121682443466, 0.0, 0.0, 0.0], {node_at(2): 7.0})  # binary64 gave 1 ulp off
+def test_property_float_eval_is_the_exact_value_rounded_once(seed, weights, entries):
+    intervals = [iv for _, iv in random_kstar(random.Random(seed)).terms]
+    weights = weights[: len(intervals)]
+    scale = max(1.0, 2 * sum(w * w for w in weights))  # 1.0 exercises the unit scale
+    kf = KStarElement.from_terms(zip(weights, intervals), FLOAT, scale)
+    ke = KStarElement.from_terms([(Fraction(w), iv) for w, iv in kf.terms], EXACT, Fraction(scale))
+    xf = vec(entries, FLOAT)
+    xe = vec({n: Fraction(v) for n, v in xf.entries.items()})
+    assert eval_kstar_squared(kf, xf) == float(eval_kstar_squared(ke, xe))
+    assert eval_kstar(kf, xf) == float(eval_kstar(ke, xe))
 
 
 def test_eval_kstar_backend_mismatch():

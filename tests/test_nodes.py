@@ -1,5 +1,7 @@
 """Tree-core unit tests: enumeration, segments, branches, disjointness."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from jamestree.nodes import (
     separation_level,
     successor,
 )
+from jamestree.vectors import JTVector
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +42,15 @@ def test_powers_of_two_are_all_zero_sequences():
 
 
 def test_node_at_matches_successor_rule():
-    # the stepping rule is the independent oracle for the closed form
-    cur = ROOT
+    # the binary-counter stepping rule on bit tuples is the independent oracle
+    bits = ()
     for n in range(1, 1 << 12):
-        assert node_at(n) == cur
-        cur = successor(cur)
+        assert node_at(n).bits == bits and successor(node_at(n)) == node_at(n + 1)
+        if all(bits):  # all ones, or the root: roll over to zeros one longer
+            bits = (0,) * (len(bits) + 1)
+        else:  # the last 0 flips to 1 and everything after it resets to 0
+            i0 = max(i for i, b in enumerate(bits) if b == 0)
+            bits = bits[:i0] + (1,) + (0,) * (len(bits) - i0 - 1)
 
 
 def test_index_of_inverts_node_at():
@@ -375,7 +382,13 @@ def test_property_round_trips(bits):
     text = m_text(bits)
     assert node.bits == bits and node.level == len(bits)
     assert str(node) == text and NodeId.parse(text) == node
-    assert index_of(node) == node.index == m_index(bits)
+    assert f"{node}" == text
+    # a node is an int: its enumeration index, equal and hashing as that int
+    assert isinstance(node, int)
+    assert int(node) == index_of(node) == m_index(bits)
+    assert hash(node) == hash(int(node))
+    for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(twin) is NodeId and twin == node
     assert node_at(m_index(bits)).bits == bits
     assert node.is_root == (bits == ())
 
@@ -421,12 +434,17 @@ def test_property_child_parent_prefix(bits, data):
 @given(BITS, st.data())
 def test_property_segment_nodes(end, data):
     start = end[: cut(data.draw, len(end))]
-    nodes = Segment(NodeId(start), NodeId(end)).nodes()
+    segment = Segment(NodeId(start), NodeId(end))
+    nodes = segment.nodes()
     text = m_text(end)
     assert [str(n) for n in nodes] == [
         text[:level] for level in range(len(start), len(end) + 1)
     ]
     assert nodes[0].bits == start
+    assert copy.deepcopy(segment) == segment
+    x = JTVector.from_entries({n: k + 1 for k, n in enumerate(nodes)})
+    twin = copy.deepcopy(x)
+    assert twin == x and all(type(n) is NodeId for n in twin.entries)
 
 
 @PROPERTY
