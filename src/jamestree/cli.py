@@ -25,6 +25,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def count(text: str) -> int:
+    """An argparse type: an int that is not negative (zero is allowed)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(doc) -> None:
     # a NaN or an overflow to Infinity raises here, before anything prints
     print(json.dumps(doc, allow_nan=False))
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--witness", action="store_true", help=argparse.SUPPRESS if witness else None
         )
-        p.add_argument("--max-candidates", type=int, default=22)
+        p.add_argument("--max-candidates", type=count, default=22)
         p.set_defaults(func=_cmd_norm, witness=witness)
 
     p_eval = sub.add_parser("eval", help="apply a functional file to a vector file")
@@ -137,12 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a named experiment")
     p_exp.add_argument("--name", required=True, choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--trials", type=int, default=None)
+    p_exp.add_argument("--trials", type=count, default=None)
     p_exp.add_argument("--out", default=None)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_enum = sub.add_parser("enumerate", help="print the first n nodes")
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=count, required=True)
     p_enum.set_defaults(func=_cmd_enumerate)
 
     return parser

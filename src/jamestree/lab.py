@@ -2,13 +2,15 @@
 
 Everything here is desk-scale empiricism layered on the exact norm engine:
 seeded generators produce instances, the engine evaluates them, and the
-results are packaged as reproducible reports.  Each trial draws its own
+results are packaged as reproducible reports.  Every generated vector,
+block and coefficient is an exact rational.  Each trial draws its own
 substream from (seed, trial index), so re-running a report with the same
-seed and parameters reproduces it bit-for-bit on the exact backend, and
-trials could run in any order or concurrently without changing results.
+seed and parameters reproduces it bit-for-bit, and trials could run in any
+order or concurrently without changing results.
 
 The l1 search is an upper-bound heuristic and is labeled as such:
-minimizing the norm over the l1 sphere is nonconvex, so beyond
+lam -> ||sum lam_i u_i||^2 is convex, but the l1 sphere is not a convex
+set, so the search is convex only within one sign facet; beyond
 oracle-verified small cases no exactness is claimed.
 """
 
@@ -23,13 +25,7 @@ from typing import Iterable, Sequence
 from .nodes import BranchPrefix, Interval, NodeId, Segment, node_at
 from .norm import brute_force_norm, interval_sums, jt_norm
 from .functionals import KStarElement, interval_to_json
-from .vectors import (
-    EXACT,
-    JTVector,
-    Scalar,
-    basis_vector,
-    scalar_to_json,
-)
+from .vectors import EXACT, JTVector, basis_vector, scalar_to_json
 
 
 def substream(seed: int, index: int) -> random.Random:
@@ -65,17 +61,15 @@ def random_vector(
     max_depth: int = 6,
     numerator_bound: int = 5,
     max_denominator: int = 4,
-    backend: str = EXACT,
     nonzero: bool = True,
 ) -> JTVector:
     """Support nodes at uniform depth <= max_depth, small rational entries."""
     while True:
-        entries: dict[NodeId, object] = {}
+        entries: dict[NodeId, Fraction] = {}
         for _ in range(rng.randint(1, max_support)):
             node = random_node(rng, max_depth)
-            value = random_rational(rng, numerator_bound, max_denominator)
-            entries[node] = value if backend == EXACT else float(value)
-        x = JTVector.from_entries(entries, backend)
+            entries[node] = random_rational(rng, numerator_bound, max_denominator)
+        x = JTVector.from_entries(entries)
         if not nonzero or not x.is_zero:
             return x
 
@@ -89,10 +83,7 @@ def antichain_nodes(n: int) -> list[NodeId]:
 
 
 def random_kstar(
-    rng: random.Random,
-    max_terms: int = 4,
-    max_tail: int = 3,
-    backend: str = EXACT,
+    rng: random.Random, max_terms: int = 4, max_tail: int = 3
 ) -> KStarElement:
     """A valid random norming-set element: disjoint intervals, l2-bounded weights.
 
@@ -120,7 +111,7 @@ def random_kstar(
             interval = BranchPrefix(stem, tail)
         terms.append((w, interval))
     scale = max(1, weight_sq + rng.choice((0, 0, 1, 4)))
-    return KStarElement.from_terms(terms, backend, scale)
+    return KStarElement.from_terms(terms, scale_squared=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +134,8 @@ class BlockSequence:
             raise ValueError("need exactly one boundary more than blocks")
         if any(b >= c for b, c in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError("boundaries must increase strictly")
-        backends = {u.backend for u in self.blocks}
-        if len(backends) > 1:
-            raise ValueError("blocks must share a backend")
+        if any(u.backend != EXACT for u in self.blocks):
+            raise ValueError("blocks must be exact")
         for k, u in enumerate(self.blocks):
             if u.is_zero:
                 raise ValueError(f"block {k + 1} is zero")
@@ -168,52 +158,45 @@ class BlockSequence:
         ends = [int(max(u.entries)) for u in blocks]
         return cls(blocks, (first - 1, *ends))
 
-    @property
-    def backend(self) -> str:
-        return self.blocks[0].backend
-
-    def combine(self, coefficients: Sequence) -> JTVector:
+    def combine(self, coefficients: Sequence[Fraction]) -> JTVector:
         """sum_i coefficients[i] * block_i (prefix if fewer coefficients)."""
         # block supports are disjoint, so the scaled entries never collide
-        entries: dict[NodeId, Scalar] = {}
+        entries: dict[NodeId, Fraction] = {}
         for c, u in zip(coefficients, self.blocks):
             entries.update(u.scale(c).entries)
-        return JTVector(entries, self.backend)
+        return JTVector(entries)
 
 
-def standard_basis_blocks(count: int, backend: str = EXACT) -> BlockSequence:
+def standard_basis_blocks(count: int) -> BlockSequence:
     return BlockSequence.from_blocks(
-        [basis_vector(node_at(i), backend) for i in range(1, count + 1)]
+        [basis_vector(node_at(i)) for i in range(1, count + 1)]
     )
 
 
-def antichain_blocks(n: int, backend: str = EXACT) -> BlockSequence:
+def antichain_blocks(n: int) -> BlockSequence:
     """Singleton blocks on n same-level incomparable nodes."""
-    return BlockSequence.from_blocks(
-        [basis_vector(node, backend) for node in antichain_nodes(n)]
-    )
+    return BlockSequence.from_blocks([basis_vector(node) for node in antichain_nodes(n)])
 
 
-def chain_blocks(n: int, backend: str = EXACT) -> BlockSequence:
+def chain_blocks(n: int) -> BlockSequence:
     """Singleton blocks down the leftmost branch: levels 1..n."""
     return BlockSequence.from_blocks(
-        [basis_vector(node_at(1 << k), backend) for k in range(1, n + 1)]
+        [basis_vector(node_at(1 << k)) for k in range(1, n + 1)]
     )
 
 
 def random_block_sequence(
-    rng: random.Random, count: int = 4, window: int = 4, backend: str = EXACT
+    rng: random.Random, count: int = 4, window: int = 4
 ) -> BlockSequence:
     blocks = []
     for k in range(count):
         lo, hi = k * window, (k + 1) * window
-        entries: dict[NodeId, object] = {}
+        entries: dict[NodeId, Fraction] = {}
         while not entries:
             for i in range(lo + 1, hi + 1):
                 if rng.random() < 0.6:
-                    value = random_rational(rng, nonzero=True)
-                    entries[node_at(i)] = value if backend == EXACT else float(value)
-        blocks.append(JTVector.from_entries(entries, backend))
+                    entries[node_at(i)] = random_rational(rng, nonzero=True)
+        blocks.append(JTVector.from_entries(entries))
     boundaries = tuple(k * window for k in range(count + 1))
     return BlockSequence(tuple(blocks), boundaries)
 
@@ -262,26 +245,19 @@ def basic_sequence_constant(
     K = len(blocks.blocks)
     if K == 1:
         return 1.0
-    best_ratio = 1  # what coefficients vanishing beyond n give
-    draws = []
+    best_ratio = Fraction(1)  # what coefficients vanishing beyond n give
     for i in range(samples):
         rng = substream(seed, i)
         lam = [random_rational(rng) for _ in range(K)]
         if all(c == 0 for c in lam):
             lam[rng.randrange(K)] = Fraction(1)
-        draws.append(lam)
-    for lam in draws:
-        coeffs = lam if blocks.backend == EXACT else [float(c) for c in lam]
-        norms_sq = [
-            jt_norm(blocks.combine(coeffs[:n])).value_squared for n in range(1, K + 1)
-        ]
-        for n in range(K - 1):
-            for m in range(n + 1, K):
-                if norms_sq[m] == 0:
-                    continue
-                ratio = norms_sq[n] / norms_sq[m]
-                if ratio > best_ratio:
-                    best_ratio = ratio
+        # the largest earlier prefix norm over each later one
+        earlier = jt_norm(blocks.combine(lam[:1])).value_squared
+        for m in range(2, K + 1):
+            norm_sq = jt_norm(blocks.combine(lam[:m])).value_squared
+            if norm_sq != 0:
+                best_ratio = max(best_ratio, earlier / norm_sq)
+            earlier = max(earlier, norm_sq)
     return math.sqrt(float(best_ratio))
 
 
@@ -305,21 +281,18 @@ def _l1_search(
     budget: int,
     rng: random.Random,
     warm_starts: list[tuple[Fraction, ...]],
-) -> tuple[Scalar, tuple[Fraction, ...]]:
+) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Minimize ||sum_{i<=n} lam_i u_i||^2 over the l1 sphere (heuristic).
 
     Sampling plus pairwise mass transfer; returns (squared value, lam).
-    Everything is rational so exact-backend comparisons are exact.
+    Everything is rational, so every comparison is exact.
     """
-    backend = blocks.backend
-
     evals = 0
 
-    def value_sq(lam: Sequence[Fraction]) -> Scalar:
+    def value_sq(lam: Sequence[Fraction]) -> Fraction:
         nonlocal evals
         evals += 1
-        coeffs = lam if backend == EXACT else [float(c) for c in lam]
-        return jt_norm(blocks.combine(coeffs)).value_squared
+        return jt_norm(blocks.combine(lam)).value_squared
 
     uniform = tuple(Fraction(1, n) for _ in range(n))
     candidates: list[tuple[Fraction, ...]] = [uniform]
@@ -372,6 +345,26 @@ def _l1_search(
     return best_sq, tuple(best_lam)
 
 
+def _l1_squares(
+    blocks: BlockSequence, ns: Iterable[int], budget: int, seed: int
+) -> dict[int, Fraction]:
+    """The exact squares c_n^2 behind l1_lower_constants."""
+    ns = sorted(set(ns))
+    if not ns:
+        return {}
+    if ns[0] < 1:
+        raise ValueError(f"n must be >= 1, got {ns[0]}")
+    if ns[-1] > len(blocks.blocks):
+        raise ValueError(f"only {len(blocks.blocks)} blocks available")
+    warm: list[tuple[Fraction, ...]] = []
+    out: dict[int, Fraction] = {}
+    for n in ns:
+        rng = substream(seed, n)
+        out[n], best_lam = _l1_search(blocks, n, budget, rng, warm)
+        warm = [best_lam]
+    return out
+
+
 def l1_lower_constants(
     blocks: BlockSequence,
     ns: Iterable[int],
@@ -383,19 +376,8 @@ def l1_lower_constants(
     Searches are nested: each n reuses the minimizers found for smaller n
     (padded with zeros), so c_n can only go down as n grows.
     """
-    ns = sorted(set(ns))
-    if not ns:
-        return {}
-    if ns[-1] > len(blocks.blocks):
-        raise ValueError(f"only {len(blocks.blocks)} blocks available")
-    warm: list[tuple[Fraction, ...]] = []
-    out: dict[int, float] = {}
-    for n in ns:
-        rng = substream(seed, n)
-        best_sq, best_lam = _l1_search(blocks, n, budget, rng, warm)
-        warm = [best_lam]
-        out[n] = math.sqrt(float(best_sq))
-    return out
+    squares = _l1_squares(blocks, ns, budget, seed)
+    return {n: math.sqrt(float(sq)) for n, sq in squares.items()}
 
 
 def w_cauchy_probe(
@@ -501,7 +483,7 @@ def run_basis_constant(seed: int = 0, trials: int | None = None) -> ExperimentRe
     }
     for label, blocks in cases.items():
         k_hat = basic_sequence_constant(blocks, samples=trials, seed=seed)
-        records.append({"blocks": label, "constant": k_hat, "ok": k_hat <= 1.0 + 1e-9})
+        records.append({"blocks": label, "constant": k_hat, "ok": k_hat <= 1.0})
     return _report("basis-constant", {"trials": trials, "seed": seed}, records)
 
 
@@ -509,14 +491,15 @@ def run_l1_decay(seed: int = 0, trials: int | None = None) -> ExperimentReport:
     budget = 120 if trials is None else trials
     ns = (1, 4, 9, 16, 25)
     blocks = antichain_blocks(max(ns))
-    constants = l1_lower_constants(blocks, ns, budget=budget, seed=seed)
+    squares = _l1_squares(blocks, ns, budget, seed)
     records = []
     prev = None
     for n in ns:
-        c = constants[n]
-        ok = c * math.sqrt(n) <= 1.0 + 1e-9 and (prev is None or c <= prev + 1e-12)
+        sq = squares[n]
+        c = math.sqrt(float(sq))
+        ok = n * sq <= 1 and (prev is None or sq <= prev)
         records.append({"n": n, "constant": c, "scaled": c * math.sqrt(n), "ok": ok})
-        prev = c
+        prev = sq
     return _report("l1-decay", {"budget": budget, "seed": seed, "ns": list(ns)}, records)
 
 

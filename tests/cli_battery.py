@@ -4,16 +4,18 @@
 
 Each line holds the case's argv, its exit code, and what it printed on
 stdout and stderr.  The cases are every experiment at seeds 0 and 1,
-``check`` at two seeds, ``enumerate``, and ``witness``, oracle ``norm``
-and ``eval`` on seeded exact and float files written to a temporary
-directory (named in argv by their file names alone).  The inputs are
+``check`` at two seeds, ``enumerate``, negative counts (refused with
+exit 2), and ``witness``, oracle ``norm`` and ``eval`` on seeded exact
+and float files written to a temporary directory (named in argv by their
+file names alone).  The inputs are
 generated with the standard library only, so the output of two checkouts
 can be diffed line by line to list every changed output:
 
     PYTHONPATH=<checkout>/src python3 tests/cli_battery.py > <checkout>.jsonl
 
 A case that raises instead of exiting is printed with its exception, and
-the script then exits 1.  Not collected by pytest.
+the script then exits 1.  Not collected by pytest; ``tests/test_cli.py``
+checks every case's output contract through ``cases`` and ``run_case``.
 """
 
 from __future__ import annotations
@@ -148,19 +150,29 @@ def run_case(argv: list[str], root: Path) -> tuple[dict, bool]:
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}, raised
 
 
-def main() -> int:
-    cases = [
+def cases(root: Path) -> list[list[str]]:
+    """Every case's argv; writes the input files to root first."""
+    argvs = [
         ["experiment", "--name", name, "--seed", str(seed)]
         for name in sorted(EXPERIMENTS)
         for seed in SEEDS
     ]
-    cases += [["check", "--seed", str(seed)] for seed in SEEDS]
-    cases += [["enumerate", "--n", "20"], ["enumerate", "--n", "0"]]
+    argvs += [["check", "--seed", str(seed)] for seed in SEEDS]
+    argvs += [["enumerate", "--n", "20"], ["enumerate", "--n", "0"]]
+    argvs += [
+        ["enumerate", "--n", "-2"],
+        ["experiment", "--name", "oracle-vs-dp", "--trials", "-1"],
+        ["experiment", "--name", "l1-decay", "--trials", "-3"],
+        ["norm", "x-tiny.exact.json", "--method", "oracle", "--max-candidates", "-1"],
+    ]
+    return argvs + write_inputs(root)
+
+
+def main() -> int:
     crashed = False
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        cases += write_inputs(root)
-        for argv in cases:
+        for argv in cases(root):
             line, raised = run_case(argv, root)
             crashed |= raised
             print(json.dumps(line))

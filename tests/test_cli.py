@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_battery
 from jamestree.cli import run
 
 
@@ -387,6 +388,24 @@ def test_enumerate_zero(capsys):
     assert out_doc(capsys) == []
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["enumerate", "--n", "-2"], "--n"),
+        (["experiment", "--name", "oracle-vs-dp", "--trials", "-1"], "--trials"),
+        (["experiment", "--name", "l1-decay", "--trials", "-3"], "--trials"),
+        (["norm", "x.json", "--max-candidates", "-1"], "--max-candidates"),
+    ],
+    ids=["enumerate-n", "oracle-vs-dp-trials", "l1-decay-trials", "max-candidates"],
+)
+def test_negative_counts_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    error = assert_one_error_line(capsys)
+    assert flag in error and "must be >= 0" in error
+
+
 def test_check_passes_and_is_deterministic(capsys):
     assert run(["check", "--seed", "3"]) == 0
     first = capsys.readouterr().out
@@ -451,3 +470,26 @@ def test_bad_method_choice(tmp_path, capsys):
         run(["norm", vector, "--method", "magic"])
     assert info.value.code == 2
     assert "error" in err_doc(capsys)
+
+
+# ---------------------------------------------------------------------------
+# output contract over the fixed CLI battery
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_battery_meets_the_output_contract(tmp_path):
+    # exit 0 or 1: one strict-JSON line on stdout, nothing on stderr;
+    # exit 2: one {"error": <str>} line on stderr, nothing on stdout
+    for argv in cli_battery.cases(tmp_path):
+        line, raised = cli_battery.run_case(argv, tmp_path)
+        assert not raised, line
+        code, out, err = line["exit"], line["stdout"], line["stderr"]
+        assert code in (0, 1, 2), line
+        text, silent = (out, err) if code in (0, 1) else (err, out)
+        assert silent == "" and text.endswith("\n") and text.count("\n") == 1, line
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        if code == 2:
+            assert set(doc) == {"error"} and isinstance(doc["error"], str), line

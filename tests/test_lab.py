@@ -28,7 +28,7 @@ from jamestree.lab import (
     substream,
     w_cauchy_probe,
 )
-from jamestree.nodes import ROOT, BranchPrefix, NodeId, Segment, index_of, node_at
+from jamestree.nodes import ROOT, BranchPrefix, NodeId, Segment, index_of
 from jamestree.norm import NormWitness, jt_norm
 from jamestree.vectors import EXACT, FLOAT, JTVector, basis_vector
 
@@ -67,9 +67,6 @@ def test_random_vector_contract():
         assert 1 <= len(x.support()) <= 8
         assert all(node.level <= 6 for node in x.support())
         assert all(isinstance(v, Fraction) for _, v in x.items())
-    xf = random_vector(rng, backend=FLOAT)
-    assert xf.backend == FLOAT
-    assert all(isinstance(v, float) for _, v in xf.items())
 
 
 def test_antichain_nodes_levels():
@@ -93,8 +90,6 @@ def test_random_kstar_always_valid():
     for _ in range(100):
         k = random_kstar(rng)
         k.validate()  # must not raise
-    kf = random_kstar(rng, backend=FLOAT)
-    assert kf.backend == FLOAT
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +101,8 @@ def test_block_sequence_windows():
         (vec({"": 1, "0": 2}), vec({"1": -1})),
         (0, 2, 3),
     )
-    assert blocks.backend == EXACT
     combined = blocks.combine([Fraction(1), Fraction(3)])
+    assert combined.backend == EXACT
     assert combined == vec({"": 1, "0": 2, "1": -3})
     prefix = blocks.combine([Fraction(2)])
     assert prefix == vec({"": 2, "0": 4})
@@ -115,18 +110,13 @@ def test_block_sequence_windows():
 
 def test_combine_equals_the_sum_of_scaled_blocks():
     rng = substream(5, 0)
-    for backend in (EXACT, FLOAT):
-        blocks = random_block_sequence(rng, count=4, backend=backend)
-        coeffs = [random_rational(rng) for _ in range(4)]
-        if backend == FLOAT:
-            coeffs = [float(c) for c in coeffs]
-        for n in range(5):
-            total = JTVector.zero(backend)
-            for c, u in zip(coeffs[:n], blocks.blocks):
-                total = total + u.scale(c)
-            assert blocks.combine(coeffs[:n]) == total
-    tiny = BlockSequence.from_blocks([vec({"": 1e-200}, FLOAT), vec({"0": 1.0}, FLOAT)])
-    assert tiny.combine([1e-200, 1.0]).support() == {node_at(2)}
+    blocks = random_block_sequence(rng, count=4)
+    coeffs = [random_rational(rng) for _ in range(4)]
+    for n in range(5):
+        total = JTVector.zero()
+        for c, u in zip(coeffs[:n], blocks.blocks):
+            total = total + u.scale(c)
+        assert blocks.combine(coeffs[:n]) == total
 
 
 def test_block_sequence_rejects_bad_shapes():
@@ -140,7 +130,7 @@ def test_block_sequence_rejects_bad_shapes():
         BlockSequence((u, w), (1, 2, 3))  # support left of window
     with pytest.raises(ValueError):
         BlockSequence((u, JTVector.zero()), (0, 1, 2))  # zero block
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blocks must be exact"):
         BlockSequence((u, vec({"0": 1.0}, FLOAT)), (0, 1, 2))  # mixed backends
     with pytest.raises(ValueError):
         BlockSequence((w, u), (0, 2, 3))  # out of order
@@ -216,6 +206,11 @@ def test_l1_constants_reject_short_sequences():
     with pytest.raises(ValueError):
         l1_lower_constants(antichain_blocks(4), (5,))
     assert l1_lower_constants(antichain_blocks(4), ()) == {}
+
+
+def test_l1_constants_reject_n_below_one():
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        l1_lower_constants(antichain_blocks(4), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +293,37 @@ def test_l1_decay_scaled_constants():
         assert rec["scaled"] <= 1.0 + 1e-9
     assert by_n[1]["constant"] == 1.0
     assert report.verdict
+
+
+def test_basis_constant_verdict_has_no_slack(monkeypatch):
+    monkeypatch.setattr(lab, "basic_sequence_constant", lambda *a, **k: 1.0 + 1e-12)
+    report = lab.run_basis_constant(trials=2)
+    assert not report.verdict
+    assert [r["ok"] for r in report.records] == [False] * 3
+
+
+def planted_l1_squares(planted):
+    """A stand-in for the l1 search: 1/n for each n, except where planted."""
+    return lambda blocks, ns, budget, seed: {n: planted.get(n, Fraction(1, n)) for n in ns}
+
+
+def test_l1_decay_verdict_checks_the_exact_scaled_square(monkeypatch):
+    # n * c_n^2 exceeds 1 by 10^-12
+    planted = {9: (1 + Fraction(1, 10**12)) / 9}
+    monkeypatch.setattr(lab, "_l1_squares", planted_l1_squares(planted))
+    report = lab.run_l1_decay(trials=2)
+    assert not report.verdict
+    assert [r["ok"] for r in report.records] == [True, True, False, True, True]
+
+
+def test_l1_decay_verdict_checks_exact_monotonicity(monkeypatch):
+    # c_16^2 exceeds c_9^2 by 10^-13 relative, while 16 c_16^2 stays below 1
+    low = Fraction(1, 25)
+    planted = {9: low, 16: low * (1 + Fraction(1, 10**13))}
+    monkeypatch.setattr(lab, "_l1_squares", planted_l1_squares(planted))
+    report = lab.run_l1_decay(trials=2)
+    assert not report.verdict
+    assert [r["ok"] for r in report.records] == [True, True, True, False, True]
 
 
 def test_check_suite_all_pass():
