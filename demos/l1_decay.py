@@ -43,6 +43,5 @@ from jamestree import JTVector
 
 x = JTVector.from_entries({"": 1, "0": 2, "10": -1, "11": 1})
 seq = [x.partial_sum(k) for k in range(1, 8)]
-report = w_cauchy_probe(seq, [Segment.parse("..0"), Segment.parse("1..11")])
-for record in report.records:
+for record in w_cauchy_probe(seq, [Segment.parse("..0"), Segment.parse("1..11")]):
     print(record["interval"], "values:", record["values"], "moduli:", record["moduli"])

@@ -207,10 +207,15 @@ def random_block_sequence(
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """Named, parameterized records; it passes when every record is ok."""
+
     name: str
     parameters: dict
     records: tuple
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return all(r["ok"] for r in self.records)
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,31 +226,16 @@ class ExperimentReport:
         }
 
 
-def _report(name: str, parameters: dict, records: list) -> ExperimentReport:
-    """A report that passes when every record is ok."""
-    return ExperimentReport(
-        name, parameters, tuple(records), all(r["ok"] for r in records)
-    )
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def basic_sequence_constant(
-    blocks: BlockSequence, samples: int = 40, seed: int = 0
-) -> float:
-    """Empirical estimate of the basis constant of a block sequence.
-
-    Maximizes ||sum_{i<=n} c_i u_i|| / ||sum_{i<=m} c_i u_i|| over sampled
-    coefficients and n < m.  Coefficient vectors vanishing beyond position
-    n make the ratio exactly 1, so the estimate always reaches 1; for
-    blocks of this monotone basis it never exceeds it.
-    """
+def _basis_ratio(blocks: BlockSequence, samples: int, seed: int) -> Fraction:
+    """The exact squared ratio behind basic_sequence_constant."""
     K = len(blocks.blocks)
-    if K == 1:
-        return 1.0
     best_ratio = Fraction(1)  # what coefficients vanishing beyond n give
+    if K == 1:
+        return best_ratio
     for i in range(samples):
         rng = substream(seed, i)
         lam = [random_rational(rng) for _ in range(K)]
@@ -258,7 +248,20 @@ def basic_sequence_constant(
             if norm_sq != 0:
                 best_ratio = max(best_ratio, earlier / norm_sq)
             earlier = max(earlier, norm_sq)
-    return math.sqrt(float(best_ratio))
+    return best_ratio
+
+
+def basic_sequence_constant(
+    blocks: BlockSequence, samples: int = 40, seed: int = 0
+) -> float:
+    """Empirical estimate of the basis constant of a block sequence.
+
+    Maximizes ||sum_{i<=n} c_i u_i|| / ||sum_{i<=m} c_i u_i|| over sampled
+    coefficients and n < m.  Coefficient vectors vanishing beyond position
+    n make the ratio exactly 1, so the estimate always reaches 1; for
+    blocks of this monotone basis it never exceeds it.
+    """
+    return math.sqrt(float(_basis_ratio(blocks, samples, seed)))
 
 
 def _sign_patterns(rng: random.Random, n: int, budget: int) -> list[tuple[int, ...]]:
@@ -280,12 +283,15 @@ def _l1_search(
     n: int,
     budget: int,
     rng: random.Random,
-    warm_starts: list[tuple[Fraction, ...]],
+    incumbent: tuple[Fraction, tuple[Fraction, ...]] | None,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Minimize ||sum_{i<=n} lam_i u_i||^2 over the l1 sphere (heuristic).
 
     Sampling plus pairwise mass transfer; returns (squared value, lam).
-    Everything is rational, so every comparison is exact.
+    The incumbent, a (squared value, lam) found for fewer blocks, is free:
+    zero coefficients drop their blocks, so lam padded with zeros gives
+    the same vector and square without a norm call, and the result is
+    never above it.  Everything is rational, so every comparison is exact.
     """
     evals = 0
 
@@ -294,14 +300,10 @@ def _l1_search(
         evals += 1
         return jt_norm(blocks.combine(lam)).value_squared
 
-    uniform = tuple(Fraction(1, n) for _ in range(n))
-    candidates: list[tuple[Fraction, ...]] = [uniform]
-    for lam in warm_starts:
-        padded = tuple(lam[:n]) + (Fraction(0),) * max(0, n - len(lam))
-        if sum(abs(c) for c in padded) == 1:
-            candidates.append(padded)
-    for signs in _sign_patterns(rng, n, budget // 3):
-        candidates.append(tuple(s * Fraction(1, n) for s in signs))
+    candidates = [
+        tuple(s * Fraction(1, n) for s in signs)
+        for signs in _sign_patterns(rng, n, budget // 3)
+    ]
     for _ in range(budget // 3):
         weights = [rng.randint(0, 64) for _ in range(n)]
         if not any(weights):
@@ -311,9 +313,12 @@ def _l1_search(
             tuple(rng.choice((1, -1)) * Fraction(w, total) for w in weights)
         )
 
-    best_lam = candidates[0]
+    best_lam = tuple(Fraction(1, n) for _ in range(n))
     best_sq = value_sq(best_lam)
-    for lam in candidates[1:]:
+    if incumbent is not None and incumbent[0] < best_sq:
+        best_sq = incumbent[0]
+        best_lam = incumbent[1] + (Fraction(0),) * (n - len(incumbent[1]))
+    for lam in candidates:
         if evals >= 4 * budget:
             break
         v = value_sq(lam)
@@ -342,7 +347,7 @@ def _l1_search(
                     if v < best_sq:
                         best_sq, best_lam = v, tuple(trial)
                         improved = True
-    return best_sq, tuple(best_lam)
+    return best_sq, best_lam
 
 
 def _l1_squares(
@@ -356,12 +361,11 @@ def _l1_squares(
         raise ValueError(f"n must be >= 1, got {ns[0]}")
     if ns[-1] > len(blocks.blocks):
         raise ValueError(f"only {len(blocks.blocks)} blocks available")
-    warm: list[tuple[Fraction, ...]] = []
+    incumbent = None
     out: dict[int, Fraction] = {}
     for n in ns:
-        rng = substream(seed, n)
-        out[n], best_lam = _l1_search(blocks, n, budget, rng, warm)
-        warm = [best_lam]
+        incumbent = _l1_search(blocks, n, budget, substream(seed, n), incumbent)
+        out[n] = incumbent[0]
     return out
 
 
@@ -373,27 +377,23 @@ def l1_lower_constants(
 ) -> dict[int, float]:
     """Upper estimates c_n of the l1-lower constant, nonincreasing in n.
 
-    Searches are nested: each n reuses the minimizers found for smaller n
-    (padded with zeros), so c_n can only go down as n grows.
+    Searches are nested: each n starts from the minimizer found for the
+    previous n (padded with zeros) as a free incumbent, so c_n <= c_{n-1}
+    at every budget, budget 0 included.
     """
     squares = _l1_squares(blocks, ns, budget, seed)
     return {n: math.sqrt(float(sq)) for n, sq in squares.items()}
 
 
 def w_cauchy_probe(
-    seq: Sequence[JTVector],
-    intervals: Sequence[Interval],
-    threshold: float | None = None,
-) -> ExperimentReport:
+    seq: Sequence[JTVector], intervals: Sequence[Interval]
+) -> list[dict]:
     """Tabulate I*(x_n) per interval with tail oscillation moduli.
 
-    For each interval the modulus at N is max_{m,n >= N} |a_m - a_n|
-    (computed as suffix max minus suffix min).  A threshold, when given,
-    must be met by the final-quarter moduli for a pass verdict.
+    One record per interval.  The modulus at N is max_{m,n >= N} |a_m - a_n|
+    (computed as suffix max minus suffix min).
     """
     records = []
-    verdict = True
-    count = len(seq)
     table = [interval_sums(intervals, x) for x in seq]  # table[n][i] = I_i*(x_n)
     for i, interval in enumerate(intervals):
         values = [row[i] for row in table]
@@ -407,10 +407,6 @@ def w_cauchy_probe(
                 suffix_min = min(suffix_min, a)
                 rev.append(suffix_max - suffix_min)
             moduli = list(reversed(rev))
-        if threshold is not None and moduli:
-            tail_at = max(0, count - max(1, count // 4))
-            if float(moduli[tail_at]) > threshold:
-                verdict = False
         records.append(
             {
                 "interval": interval_to_json(interval),
@@ -418,12 +414,7 @@ def w_cauchy_probe(
                 "moduli": [scalar_to_json(m) for m in moduli],
             }
         )
-    return ExperimentReport(
-        name="w-cauchy-probe",
-        parameters={"count": count, "threshold": threshold},
-        records=tuple(records),
-        verdict=verdict,
-    )
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +436,9 @@ def run_oracle_vs_dp(seed: int = 0, trials: int | None = None) -> ExperimentRepo
                 "ok": dp.value_squared == oracle.value_squared,
             }
         )
-    return _report("oracle-vs-dp", {"trials": trials, "seed": seed}, records)
+    return ExperimentReport(
+        "oracle-vs-dp", {"trials": trials, "seed": seed}, tuple(records)
+    )
 
 
 def run_lemma_estimates(seed: int = 0, trials: int | None = None) -> ExperimentReport:
@@ -470,7 +463,9 @@ def run_lemma_estimates(seed: int = 0, trials: int | None = None) -> ExperimentR
                 "ok": head + tail <= whole,
             }
         )
-    return _report("lemma-estimates", {"trials": trials, "seed": seed}, records)
+    return ExperimentReport(
+        "lemma-estimates", {"trials": trials, "seed": seed}, tuple(records)
+    )
 
 
 def run_basis_constant(seed: int = 0, trials: int | None = None) -> ExperimentReport:
@@ -482,9 +477,13 @@ def run_basis_constant(seed: int = 0, trials: int | None = None) -> ExperimentRe
         "random-blocks": random_block_sequence(substream(seed, 0)),
     }
     for label, blocks in cases.items():
-        k_hat = basic_sequence_constant(blocks, samples=trials, seed=seed)
-        records.append({"blocks": label, "constant": k_hat, "ok": k_hat <= 1.0})
-    return _report("basis-constant", {"trials": trials, "seed": seed}, records)
+        ratio = _basis_ratio(blocks, trials, seed)
+        records.append(
+            {"blocks": label, "constant": math.sqrt(float(ratio)), "ok": ratio <= 1}
+        )
+    return ExperimentReport(
+        "basis-constant", {"trials": trials, "seed": seed}, tuple(records)
+    )
 
 
 def run_l1_decay(seed: int = 0, trials: int | None = None) -> ExperimentReport:
@@ -500,7 +499,8 @@ def run_l1_decay(seed: int = 0, trials: int | None = None) -> ExperimentReport:
         ok = n * sq <= 1 and (prev is None or sq <= prev)
         records.append({"n": n, "constant": c, "scaled": c * math.sqrt(n), "ok": ok})
         prev = sq
-    return _report("l1-decay", {"budget": budget, "seed": seed, "ns": list(ns)}, records)
+    parameters = {"budget": budget, "seed": seed, "ns": list(ns)}
+    return ExperimentReport("l1-decay", parameters, tuple(records))
 
 
 def run_w_cauchy(seed: int = 0, trials: int | None = None) -> ExperimentReport:
@@ -514,20 +514,13 @@ def run_w_cauchy(seed: int = 0, trials: int | None = None) -> ExperimentReport:
         Segment(node_at(3), node_at(6)),
         BranchPrefix(NodeId(), (0,)),
     ]
-    report = w_cauchy_probe(seq, intervals)
     # partial sums stabilize once every support index has been swept in,
-    # so the tail of each value row must be constant
-    verdict = True
-    for record in report.records:
-        tail = record["values"][stop - 1 :]
-        if len(set(tail)) > 1:
-            verdict = False
-    return ExperimentReport(
-        name="w-cauchy",
-        parameters={"steps": steps, "seed": seed},
-        records=report.records,
-        verdict=verdict,
+    # so each value row must be constant from partial sum `stop` on
+    records = tuple(
+        {**record, "ok": len(set(record["values"][stop - 1 :])) <= 1}
+        for record in w_cauchy_probe(seq, intervals)
     )
+    return ExperimentReport("w-cauchy", {"steps": steps, "seed": seed}, records)
 
 
 EXPERIMENTS = {

@@ -195,6 +195,18 @@ def test_l1_constants_nested_warm_starts_never_increase():
     assert all(0.0 < v <= 1.0 + 1e-12 for v in values)
 
 
+def test_l1_constants_never_increase_at_any_budget():
+    # the previous n's minimizer is a free incumbent, so even budget 0,
+    # which evaluates only the uniform candidate, cannot go up
+    for seed in range(30):
+        blocks = random_block_sequence(substream(seed, 0), count=6)
+        for budget in range(4):
+            out = l1_lower_constants(blocks, range(1, 7), budget=budget, seed=seed)
+            values = [out[n] for n in range(1, 7)]
+            assert all(a >= b for a, b in zip(values, values[1:])), (seed, budget, values)
+    assert run(["experiment", "--name", "l1-decay", "--trials", "0"]) == 0
+
+
 def test_l1_constants_chain_cancellation():
     # alternating signs on a chain cancel long segments
     blocks = chain_blocks(4)
@@ -219,9 +231,7 @@ def test_l1_constants_reject_n_below_one():
 
 def test_w_cauchy_probe_constant_sequence():
     x = vec({"": 1, "0": 2})
-    report = w_cauchy_probe([x, x, x], [Segment.parse("..0")], threshold=0.0)
-    assert report.verdict
-    record = report.records[0]
+    [record] = w_cauchy_probe([x, x, x], [Segment.parse("..0")])
     assert record["values"] == ["3", "3", "3"]
     assert record["moduli"] == ["0", "0", "0"]
 
@@ -229,23 +239,20 @@ def test_w_cauchy_probe_constant_sequence():
 def test_w_cauchy_probe_partial_sums_stabilize():
     x = vec({"": 1, "0": 2, "1": -1})
     seq = [x.partial_sum(k) for k in (1, 2, 3)]
-    report = w_cauchy_probe(seq, [Segment.parse("..0")])
-    record = report.records[0]
+    [record] = w_cauchy_probe(seq, [Segment.parse("..0")])
     assert record["values"] == ["1", "3", "3"]
     assert record["moduli"] == ["2", "0", "0"]
 
 
 def test_w_cauchy_probe_flags_oscillation():
     seq = [vec({"": (-1) ** k}) for k in range(8)]
-    report = w_cauchy_probe(seq, [Segment.parse("..")], threshold=0.5)
-    assert not report.verdict
-    assert report.records[0]["moduli"][:2] == ["2", "2"]
+    [record] = w_cauchy_probe(seq, [Segment.parse("..")])
+    assert record["moduli"][:2] == ["2", "2"]
 
 
 def test_w_cauchy_probe_empty_sequence():
-    report = w_cauchy_probe([], [Segment.parse("..")], threshold=0.0)
-    assert report.verdict
-    assert report.records[0]["values"] == []
+    [record] = w_cauchy_probe([], [Segment.parse("..")])
+    assert record["values"] == []
 
 
 def test_lemma_suite_passes_and_reproduces():
@@ -259,8 +266,21 @@ def test_lemma_suite_passes_and_reproduces():
 
 
 def test_experiment_report_json_verdict_words():
-    report = ExperimentReport("demo", {}, (), False)
+    report = ExperimentReport("demo", {}, ({"ok": True}, {"ok": False}))
+    assert report.verdict is False
+    assert list(report.to_json_dict()) == ["name", "parameters", "records", "verdict"]
     assert report.to_json_dict()["verdict"] == "fail"
+    assert ExperimentReport("demo", {}, ()).to_json_dict()["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_verdict_follows_its_records(name):
+    for trials in (0, 1, 8):
+        for seed in (0, 3):
+            doc = EXPERIMENTS[name](seed=seed, trials=trials).to_json_dict()
+            oks = [record["ok"] for record in doc["records"]]
+            assert all(type(ok) is bool for ok in oks)
+            assert doc["verdict"] == ("pass" if all(oks) else "fail")
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +316,23 @@ def test_l1_decay_scaled_constants():
 
 
 def test_basis_constant_verdict_has_no_slack(monkeypatch):
-    monkeypatch.setattr(lab, "basic_sequence_constant", lambda *a, **k: 1.0 + 1e-12)
+    monkeypatch.setattr(lab, "_basis_ratio", lambda *a: 1 + Fraction(1, 10**12))
     report = lab.run_basis_constant(trials=2)
     assert not report.verdict
     assert [r["ok"] for r in report.records] == [False] * 3
+
+
+def test_basis_constant_verdict_is_exact(monkeypatch):
+    # prefix norms that shrink by 2^-60 as the support grows: the ratio
+    # 1 + 2^-60 (about) rounds to a constant of exactly 1.0, yet must fail
+    def shrinking(x):
+        return NormWitness(1 + Fraction(1, 2**60 * (1 + len(x.entries))), ())
+
+    monkeypatch.setattr(lab, "jt_norm", shrinking)
+    report = lab.run_basis_constant(trials=4)
+    assert [r["constant"] for r in report.records] == [1.0] * 3
+    assert [r["ok"] for r in report.records] == [False] * 3
+    assert not report.verdict
 
 
 def planted_l1_squares(planted):
