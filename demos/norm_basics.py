@@ -10,7 +10,7 @@ exhaustive oracle confirms it.
 import math
 from fractions import Fraction
 
-from jamestree import JTVector, brute_force_norm, jt_norm, norm_lower_upper
+from jamestree import FLOAT, JTVector, brute_force_norm, jt_norm, norm_lower_upper
 
 # a small vector with mixed signs
 x = JTVector.from_entries({"": 1, "0": Fraction(-5, 2), "01": 3})
@@ -42,7 +42,11 @@ for k in (1, 2, 3, 200):
     s_k = x.partial_sum(k)
     print(f"||s_{k}||^2 =", jt_norm(s_k).value_squared)
 
-# the float backend runs the same integer dynamic program and rounds once
-xf = x.to_float()
-print("float backend:", jt_norm(xf).value_squared, "vs exact", float(witness.value_squared))
-assert math.isclose(jt_norm(xf).value_squared, float(witness.value_squared), rel_tol=1e-9)
+# the float backend is an input policy: it reads binary64 values, each an
+# exact dyadic rational, so 0.1 is read as 3602879701896397/2^55 and the
+# norm is the exact norm of what was read; the CLI rounds what it prints once
+xf = JTVector.from_entries({"": 0.1, "0": 0.2}, FLOAT)
+wf = jt_norm(xf)
+assert wf.value_squared == (Fraction(0.1) + Fraction(0.2)) ** 2
+print("float-read:   ", wf.value_squared, "~", float(wf.value_squared))
+print("its root      ~", wf.value, "vs", math.sqrt(float(Fraction(3, 10) ** 2)), "for 3/10")

@@ -1,8 +1,11 @@
 """Command-line front end: JSON in, JSON out.
 
-Exit codes: 0 on success, 1 when a check battery fails, 2 for malformed
-or invalid input and for results beyond binary64.  Every error is one
-machine-readable {"error": ...} line on stderr.
+The library computes every result exactly.  With ``--backend float`` the
+inputs are read as binary64 values and each printed result is its exact
+value rounded once to binary64; on the exact backend rationals print as
+"p/q" strings.  Exit codes: 0 on success, 1 when a check battery fails, 2
+for malformed or invalid input and for results beyond binary64.  Every
+error is one machine-readable {"error": ...} line on stderr.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ def _emit(doc) -> None:
     print(json.dumps(doc, allow_nan=False))
 
 
-def _render(name: str, value):
+def _render(name: str, value, backend: str):
+    """A result as printed: on the float backend rounded once to binary64."""
+    if backend == FLOAT:
+        return float(value)
     try:
         return scalar_to_json(value)
     except ValueError:  # a rational past the interpreter's int-to-text digit limit
@@ -52,8 +58,12 @@ def _cmd_norm(args) -> int:
         witness = brute_force_norm(x, max_candidates=args.max_candidates)
     else:
         witness = jt_norm(x)
+    try:
+        value_squared = _render("value_squared", witness.value_squared, args.backend)
+    except OverflowError:
+        raise OverflowError("the squared norm overflows binary64") from None
     doc = {
-        "value_squared": _render("value_squared", witness.value_squared),
+        "value_squared": value_squared,
         "value": witness.value,
         "method": args.method,
         "backend": args.backend,
@@ -72,7 +82,7 @@ def _cmd_eval(args) -> int:
         decimal = float(value)
     except OverflowError:
         raise OverflowError("the value of the functional exceeds binary64") from None
-    _emit({"value": _render("value", value), "value_decimal": decimal})
+    _emit({"value": _render("value", value, args.backend), "value_decimal": decimal})
     return 0
 
 

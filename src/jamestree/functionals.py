@@ -3,16 +3,16 @@
 An interval functional I* sums the coordinates over an interval (segment
 or branch); it has operator norm 1.  Elements of the norming set combine
 pairwise disjoint interval functionals with an l2-bounded coefficient
-vector.  To stay radical-free on the exact backend a combination is stored
-as integer-side weights plus a separate ``scale_squared``: the acting
-coefficient of term i is weight_i / sqrt(scale_squared).  Identities are
-then checked on squares, where everything is rational.
+vector.  To stay radical-free a combination is stored as exact rational
+weights plus a separate ``scale_squared``: the acting coefficient of term
+i is weight_i / sqrt(scale_squared).  Identities are then checked on
+squares, where everything is rational, and every result is an exact
+``Fraction`` except the binary64 value of a scaled evaluation.
 
-Every evaluation and check works on the whole family at once: the
-interval sums come from one sweep of the support's lifted forest, and
-disjointness from one ``first_overlap`` sweep of the starts, so a
-norming element costs about as much as the norm it attains.  A float
-evaluation is the exact value of its inputs, rounded once.
+Every evaluation and check works on the whole family at once, on lifted
+ints: the interval sums come from one sweep of the support's lifted
+forest, and disjointness from one ``first_overlap`` sweep of the starts,
+so a norming element costs about as much as the norm it attains.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ from .nodes import (
     separation_level,
 )
 # eval_interval is re-exported: the interval functionals live here
-from .norm import _lift, _scalar, eval_interval, first_overlap, interval_sums, jt_norm, rounded_root
+from .norm import _lift, eval_interval, first_overlap, interval_sums, jt_norm, rounded_root
 from .vectors import (
     EXACT,
-    BackendMismatchError,
     JTVector,
-    Scalar,
     VectorFormatError,
     as_scalar,
     loads_json,
@@ -65,6 +63,13 @@ def separation_witness(p: NodeId, q: NodeId) -> NodeId:
     return p.prefix(separation_level([p, q]))
 
 
+def _lifted(weights: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Weights w_i as integers n_i over one common denominator W."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    common = math.lcm(*(q for _, q in ratios))
+    return [p * (common // q) for p, q in ratios], common
+
+
 @dataclass(frozen=True)
 class KStarElement:
     """Finite combination sum_i (w_i / sqrt(scale_squared)) * I_i*.
@@ -73,11 +78,13 @@ class KStarElement:
     intervals are pairwise disjoint and sum_i w_i^2 <= scale_squared (the
     l2 unit-ball constraint on the acting coefficients).  Plain
     hand-written functionals have scale_squared = 1, making w_i the
-    literal coefficients.
+    literal coefficients.  ``backend`` names the input policy that read the
+    weights; binary64 weights meet the bound up to a relative 1e-9, since
+    weights such as 0.6 and 0.8 square-sum to just above 1.
     """
 
-    terms: tuple[tuple[Scalar, Interval], ...]
-    scale_squared: Scalar
+    terms: tuple[tuple[Fraction, Interval], ...]
+    scale_squared: Fraction
     backend: str = EXACT
 
     def __post_init__(self) -> None:
@@ -98,15 +105,18 @@ class KStarElement:
     def validate(self) -> None:
         if self.scale_squared <= 0:
             raise InvalidKStarError("scale_squared must be positive")
-        weight_sq = sum(w * w for w, _ in self.terms)
+        # sum_i w_i^2 = sum_i n_i^2 / W^2 against scale_squared = a / b
+        lifted, common = _lifted(w for w, _ in self.terms)
+        weight_sq = sum(n * n for n in lifted)
+        a, b = self.scale_squared.as_integer_ratio()
         if self.backend == EXACT:
-            if weight_sq > self.scale_squared:
+            if weight_sq * b > a * common * common:
                 raise InvalidKStarError(
-                    f"l2 bound violated: sum of squares {weight_sq} > {self.scale_squared}"
+                    f"l2 bound violated: sum of squares {Fraction(weight_sq, common * common)}"
+                    f" > {self.scale_squared}"
                 )
-        else:
-            if weight_sq > self.scale_squared * (1.0 + 1e-9):
-                raise InvalidKStarError("l2 bound violated")
+        elif weight_sq * b * 10**9 > a * common * common * (10**9 + 1):
+            raise InvalidKStarError("l2 bound violated")
         intervals = [iv for _, iv in self.terms]
         pair = first_overlap(intervals)
         if pair is not None:
@@ -115,43 +125,37 @@ class KStarElement:
 
 
 def _weighted_sum(k: KStarElement, x: JTVector) -> tuple[int, int]:
-    """sum_i w_i I_i*(x) as s / d on ints, for the caller to round once.
+    """sum_i w_i I_i*(x) as s / d on ints.
 
-    With w_i = p_i / q_i, W the lcm of the q_i and S_i = L * I_i*(x) the
-    lifted interval sums, the sum is sum_i p_i * (W / q_i) * S_i over W * L.
+    With w_i = n_i / W and S_i = L * I_i*(x) the lifted interval sums, the
+    sum is sum_i n_i * S_i over W * L.
     """
-    if k.backend != x.backend:
-        raise BackendMismatchError(
-            f"cannot evaluate {k.backend} functional on {x.backend} vector"
-        )
     *_, scale, sums = _lift(x, [iv for _, iv in k.terms])
-    ratios = [w.as_integer_ratio() for w, _ in k.terms]
-    common = math.lcm(*(q for _, q in ratios))
-    return sum(p * (common // q) * s for (p, q), s in zip(ratios, sums)), common * scale
+    lifted, common = _lifted(w for w, _ in k.terms)
+    return sum(n * s for n, s in zip(lifted, sums)), common * scale
 
 
-def eval_kstar_squared(k: KStarElement, x: JTVector) -> Scalar:
-    """Square of the evaluation: exact, or its exact value rounded once.
+def eval_kstar_squared(k: KStarElement, x: JTVector) -> Fraction:
+    """Square of the evaluation, exactly.
 
     (sum_i w_i I_i*(x))^2 / scale_squared is rational whenever the inputs
     are, even though the evaluation itself may be irrational.
     """
     s, d = _weighted_sum(k, x)
     a, b = k.scale_squared.as_integer_ratio()
-    return _scalar(s * s * b, d * d * a, x.backend, "the squared value")
+    return Fraction(s * s * b, d * d * a)
 
 
-def eval_kstar(k: KStarElement, x: JTVector) -> Scalar:
-    """k*(x).  Backend-exact when scale_squared = 1; binary64 otherwise.
+def eval_kstar(k: KStarElement, x: JTVector) -> Fraction | float:
+    """k*(x).  An exact Fraction when scale_squared = 1; binary64 otherwise.
 
     With a nontrivial scale the true value carries a square root, so it is
-    returned as the binary64 nearest s / sqrt(scale_squared); exact identity
-    checks should use eval_kstar_squared instead.  Either way a float is
-    the exact value of the inputs rounded once.
+    returned as the binary64 nearest s / sqrt(scale_squared), rounded once;
+    exact identity checks should use eval_kstar_squared instead.
     """
     s, d = _weighted_sum(k, x)
     if k.scale_squared == 1:
-        return _scalar(s, d, x.backend, "the value")
+        return Fraction(s, d)
     a, b = k.scale_squared.as_integer_ratio()
     root = rounded_root(s * s * b, d * d * a)
     return -root if s < 0 else root

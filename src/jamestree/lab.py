@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .nodes import BranchPrefix, Interval, NodeId, Segment, node_at
 from .norm import brute_force_norm, interval_sums, jt_norm
 from .functionals import KStarElement, interval_to_json
-from .vectors import EXACT, JTVector, basis_vector, scalar_to_json
+from .vectors import JTVector, basis_vector, scalar_to_json
 
 
 def substream(seed: int, index: int) -> random.Random:
@@ -134,8 +134,6 @@ class BlockSequence:
             raise ValueError("need exactly one boundary more than blocks")
         if any(b >= c for b, c in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError("boundaries must increase strictly")
-        if any(u.backend != EXACT for u in self.blocks):
-            raise ValueError("blocks must be exact")
         for k, u in enumerate(self.blocks):
             if u.is_zero:
                 raise ValueError(f"block {k + 1} is zero")
@@ -163,7 +161,8 @@ class BlockSequence:
         # block supports are disjoint, so the scaled entries never collide
         entries: dict[NodeId, Fraction] = {}
         for c, u in zip(coefficients, self.blocks):
-            entries.update(u.scale(c).entries)
+            if c:
+                entries.update((n, c * v) for n, v in u.entries.items())
         return JTVector(entries)
 
 

@@ -25,11 +25,10 @@ to an integer by the lcm L of the denominators (every value is p/q).
 
 ``interval_sums`` sums x over segments and branches as differences of P,
 and ``first_overlap`` checks a family's disjointness with the sweep of its
-starts.  Every result is an integer over L or L^2 divided once by
-``_scalar``, the one reader of the backend: exact, or on the float backend
-the exact value of its binary64 inputs rounded once.  No square root is
-taken on the way, so oracle-vs-DP comparisons are literal equality; the
-one root, for display, is rounded once (``rounded_root``).
+starts.  Every result is an exact ``Fraction``, an integer over L or L^2.
+No square root is taken on the way, so oracle-vs-DP comparisons are
+literal equality; the one root, for display, is rounded once
+(``rounded_root``).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Iterable, Sequence
 # index_of and node_at are not called here: perfbench/spans.py patches both
 # names on this module, and tests/test_tooling.py checks that it still can
 from .nodes import Interval, Segment, disjoint, index_of, node_at  # noqa: F401
-from .vectors import EXACT, JTVector, Scalar
+from .vectors import JTVector
 
 SegmentFamily = tuple[Segment, ...]
 
@@ -59,7 +58,7 @@ class InstanceTooLargeError(ValueError):
 class NormWitness:
     """Squared norm value together with a family of segments achieving it."""
 
-    value_squared: Scalar
+    value_squared: Fraction
     family: SegmentFamily
 
     @property
@@ -157,25 +156,15 @@ def _lift(x: JTVector, intervals: Sequence[Interval] = ()) -> tuple[list, list, 
     return [nodes[i] for i in order], parent, prefix, scale, sums
 
 
-def _scalar(p: int, q: int, backend: str, what: str) -> Scalar:
-    """p/q as the backend's scalar: exact, or rounded once to binary64."""
-    if backend == EXACT:
-        return Fraction(p, q)
-    try:
-        return p / q
-    except OverflowError:
-        raise OverflowError(f"{what} overflows binary64") from None
-
-
-def interval_sums(intervals: Sequence[Interval], x: JTVector) -> list[Scalar]:
+def interval_sums(intervals: Sequence[Interval], x: JTVector) -> list[Fraction]:
     """I*(x) for every interval: prefix differences on the lifted forest.
 
     One sweep sorts the support with two query nodes per interval, so many
     intervals, disjoint or not, cost about a sort of the support and the
-    queries.  A float sum is its exact value rounded once.
+    queries.
     """
     *_, scale, sums = _lift(x, intervals)
-    return [_scalar(s, scale, x.backend, "an interval sum") for s in sums]
+    return [Fraction(s, scale) for s in sums]
 
 
 def first_overlap(intervals: Sequence[Interval]) -> tuple[int, int] | None:
@@ -196,12 +185,12 @@ def first_overlap(intervals: Sequence[Interval]) -> tuple[int, int] | None:
     return None
 
 
-def eval_interval(interval: Interval, x: JTVector) -> Scalar:
+def eval_interval(interval: Interval, x: JTVector) -> Fraction:
     """I*(x) = sum of x_s over support nodes s lying in the interval."""
     return interval_sums([interval], x)[0]
 
 
-def family_value_squared(x: JTVector, family: Iterable[Segment]) -> Scalar:
+def family_value_squared(x: JTVector, family: Iterable[Segment]) -> Fraction:
     """Sum of squared segment sums; rejects overlapping families."""
     segs = tuple(family)
     pair = first_overlap(segs)
@@ -209,10 +198,10 @@ def family_value_squared(x: JTVector, family: Iterable[Segment]) -> Scalar:
         i, j = pair
         raise OverlappingSegmentsError(f"segments {segs[i]} and {segs[j]} overlap")
     *_, scale, sums = _lift(x, segs)
-    return _scalar(sum(s * s for s in sums), scale * scale, x.backend, "the family's value")
+    return Fraction(sum(s * s for s in sums), scale * scale)
 
 
-def norm_lower_upper(x: JTVector) -> tuple[Scalar, Scalar]:
+def norm_lower_upper(x: JTVector) -> tuple[Fraction, Fraction]:
     """Sandwich for the squared norm: (sum x_s^2, (sum |x_s|)^2).
 
     The lower bound is the all-singletons family; the upper bound holds
@@ -221,7 +210,7 @@ def norm_lower_upper(x: JTVector) -> tuple[Scalar, Scalar]:
     _, parent, prefix, scale, _ = _lift(x)
     lifted = [abs(prefix[j] - prefix[up]) for j, up in enumerate(parent)]
     low, high = sum(v * v for v in lifted), sum(lifted) ** 2
-    return tuple(_scalar(v, scale * scale, x.backend, "a norm bound") for v in (low, high))
+    return Fraction(low, scale * scale), Fraction(high, scale * scale)
 
 
 def candidate_segments(x: JTVector) -> list[Segment]:
@@ -286,7 +275,7 @@ def brute_force_norm(x: JTVector, max_candidates: int = 22) -> NormWitness:
         stack.append((i + 1, allowed & ~conflict[i], taken, depth + 1))
 
     family = tuple(cands[i] for i in best_family)
-    return NormWitness(_scalar(best_value, scale * scale, x.backend, "the squared norm"), family)
+    return NormWitness(Fraction(best_value, scale * scale), family)
 
 
 def _merge(t: list, u, d: int, lo: int, hi: int, points: list, slope: list) -> list:
@@ -322,8 +311,7 @@ def jt_norm(x: JTVector) -> NormWitness:
 
     Handles any finite support.  The witness is trimmed to support
     endpoints, stripped of zero-sum segments, and sorted by (start index,
-    end index).  The value is exact on the exact backend and the correctly
-    rounded exact optimum on the float backend.
+    end index).
     """
     ids, parent, prefix, scale, _ = _lift(x)  # positions 0..n-1 in preorder
     n = len(ids)
@@ -373,4 +361,4 @@ def jt_norm(x: JTVector) -> NormWitness:
                 end[b] = -1
                 b = parent[b]
     segments = tuple(Segment(a, b) for a, b in sorted(family))
-    return NormWitness(_scalar(total, scale * scale, x.backend, "the squared norm"), segments)
+    return NormWitness(Fraction(total, scale * scale), segments)

@@ -1,10 +1,12 @@
-"""Finitely supported tree-indexed vectors with two numeric backends.
+"""Finitely supported tree-indexed vectors with exact rational entries.
 
-The exact backend stores entries as ``fractions.Fraction`` (canonical
-reduced form, arbitrary precision) so every norm computation downstream can
-be radical-free: squared values are tracked throughout and square roots are
-taken only for display.  The float backend stores plain binary64 values.
-A vector is pinned to one backend and operations never mix the two.
+Every entry is a ``fractions.Fraction`` (canonical reduced form, arbitrary
+precision), so every norm computation downstream is radical-free: squared
+values are tracked throughout and square roots are taken only for display.
+A backend is an input policy, not an arithmetic.  The exact backend reads
+ints, Fractions, "p/q" strings and decimal literals with decimal
+semantics; the float backend reads finite binary64 values, each an exact
+dyadic rational, and the CLI rounds what it prints from them once.
 
 Zero entries are always dropped, so the key set of ``entries`` IS the
 support; the norm engine's candidate-segment pruning relies on that.
@@ -16,11 +18,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping
 
 from .nodes import NodeId
-
-Scalar = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
@@ -29,28 +29,28 @@ _FLOAT_MAX = sys.float_info.max
 
 
 class BackendMismatchError(ValueError):
-    """Raised when one computation would mix exact and float values."""
+    """Raised when a value is of a type the backend's input policy does not read."""
 
 
 class VectorFormatError(ValueError):
     """Raised for malformed vector/functional JSON documents."""
 
 
-def zero_scalar(backend: str):
-    return Fraction(0) if backend == EXACT else 0.0
+def as_scalar(value, backend: str) -> Fraction:
+    """Read a user-supplied number as an exact rational, by the backend's policy.
 
-
-def as_scalar(value, backend: str) -> Scalar:
-    """Coerce a user-supplied number into the backend's scalar type.
-
-    The exact backend takes ints, Fractions and "p/q" strings, each side
-    bounded like a number literal, and no floats (no silent binary-to-
-    rational reading).  The float backend takes finite ints and floats.
+    The exact backend takes ints, Fractions (returned as they are) and
+    "p/q" strings, each side bounded like a number literal, and no floats
+    (no silent binary-to-rational reading).  The float backend takes
+    finite ints and floats and reads each as binary64, then exactly, so an
+    int beyond 2^53 rounds first.
     """
+    if isinstance(value, bool):
+        raise BackendMismatchError(f"not a scalar: {value!r}")
     if backend == EXACT:
-        if isinstance(value, bool):
-            raise BackendMismatchError(f"not a scalar: {value!r}")
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
             try:
@@ -65,13 +65,11 @@ def as_scalar(value, backend: str) -> Scalar:
             f"exact backend takes int, Fraction or 'p/q' strings, got {type(value).__name__}"
         )
     if backend == FLOAT:
-        if isinstance(value, bool):
-            raise BackendMismatchError(f"not a scalar: {value!r}")
         if isinstance(value, (int, float)):
             # false for NaN, the infinities and ints beyond binary64's range
             if not abs(value) <= _FLOAT_MAX:
                 raise VectorFormatError(f"{value!r} is not a finite binary64 value")
-            return float(value)
+            return Fraction(float(value))
         if isinstance(value, str):
             raise VectorFormatError(
                 f"rational string {value!r} is not allowed on the float backend"
@@ -82,7 +80,7 @@ def as_scalar(value, backend: str) -> Scalar:
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
-def scalar_to_json(value: Scalar):
+def scalar_to_json(value: Fraction | float):
     """Lossless JSON rendering: rationals as 'p/q' strings, floats as numbers."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
@@ -99,9 +97,13 @@ def _coerce_node(key) -> NodeId:
 
 @dataclass(frozen=True, eq=False)
 class JTVector:
-    """Finite-support map from tree nodes to scalars of one backend."""
+    """Finite-support map from tree nodes to exact rationals.
 
-    entries: Mapping[NodeId, Scalar]
+    ``backend`` names the input policy that read the vector; vectors with
+    equal entries are equal whatever read them.
+    """
+
+    entries: Mapping[NodeId, Fraction]
     backend: str = EXACT
 
     @classmethod
@@ -109,10 +111,10 @@ class JTVector:
         """Build a vector, coercing keys/values and dropping zero entries."""
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        clean: dict[NodeId, Scalar] = {}
+        clean: dict[NodeId, Fraction] = {}
         for key, raw in entries.items():
             value = as_scalar(raw, backend)
-            if value != 0:
+            if value:
                 clean[_coerce_node(key)] = value
         return cls(clean, backend)
 
@@ -127,35 +129,28 @@ class JTVector:
     def support(self) -> frozenset[NodeId]:
         return frozenset(self.entries)
 
-    def items(self) -> list[tuple[NodeId, Scalar]]:
+    def items(self) -> list[tuple[NodeId, Fraction]]:
         """Entries in enumeration order (deterministic)."""
         return sorted(self.entries.items())
 
-    def coordinate(self, node: NodeId) -> Scalar:
+    def coordinate(self, node: NodeId) -> Fraction:
         """The biorthogonal coordinate functional: entry at node, 0 if absent."""
-        return self.entries.get(node, zero_scalar(self.backend))
-
-    def _require_same_backend(self, other: "JTVector") -> None:
-        if self.backend != other.backend:
-            raise BackendMismatchError(
-                f"cannot combine {self.backend} and {other.backend} vectors"
-            )
+        return self.entries.get(node, Fraction(0))
 
     def add(self, other: "JTVector") -> "JTVector":
-        self._require_same_backend(other)
         out = dict(self.entries)
         for node, value in other.entries.items():
-            total = out.get(node, zero_scalar(self.backend)) + value
-            if total == 0:
-                out.pop(node, None)
-            else:
+            total = out.get(node, 0) + value
+            if total:
                 out[node] = total
+            else:
+                out.pop(node, None)
         return JTVector(out, self.backend)
 
     def scale(self, c) -> "JTVector":
+        """c times the vector, c read by the vector's input policy."""
         c = as_scalar(c, self.backend)
-        # zero products leave the support: c = 0, or a float underflow
-        out = {n: p for n, v in self.entries.items() if (p := c * v) != 0}
+        out = {n: c * v for n, v in self.entries.items()} if c else {}
         return JTVector(out, self.backend)
 
     def partial_sum(self, k: int) -> "JTVector":
@@ -164,11 +159,6 @@ class JTVector:
             raise ValueError(f"partial sum length must be >= 0, got {k}")
         kept = {n: v for n, v in self.entries.items() if n <= k}
         return JTVector(kept, self.backend)
-
-    def to_float(self) -> "JTVector":
-        if self.backend == FLOAT:
-            return self
-        return JTVector({n: float(v) for n, v in self.entries.items()}, FLOAT)
 
     def __add__(self, other: "JTVector") -> "JTVector":
         return self.add(other)
@@ -185,7 +175,7 @@ class JTVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, JTVector):
             return NotImplemented
-        return self.backend == other.backend and dict(self.entries) == dict(other.entries)
+        return dict(self.entries) == dict(other.entries)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{n}:{v}" for n, v in self.items())

@@ -1,6 +1,6 @@
 """A fixed battery of CLI cases, run in-process, one JSON line per case.
 
-    PYTHONPATH=src python3 tests/cli_battery.py > battery.jsonl
+    PYTHONPATH=src python3 tests/cli_battery.py | diff tests/cli_battery.jsonl -
 
 Each line holds the case's argv, its exit code, and what it printed on
 stdout and stderr.  The cases are every experiment at seeds 0 and 1,
@@ -13,9 +13,15 @@ can be diffed line by line to list every changed output:
 
     PYTHONPATH=<checkout>/src python3 tests/cli_battery.py > <checkout>.jsonl
 
+``tests/cli_battery.jsonl`` holds the expected output, so its diff in a
+change lists every changed output; regenerate it with
+
+    PYTHONPATH=src python3 tests/cli_battery.py > tests/cli_battery.jsonl
+
 A case that raises instead of exiting is printed with its exception, and
 the script then exits 1.  Not collected by pytest; ``tests/test_cli.py``
-checks every case's output contract through ``cases`` and ``run_case``.
+checks every case's output contract, and its line against the expected
+output, through ``cases`` and ``run_case``.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ SEEDS = (0, 1)
 # (label, support size, deepest level) of the seeded vector files
 SHAPES = (("tiny", 4, 3), ("small", 6, 5), ("mid", 40, 12), ("wide", 300, 24))
 # hand-picked files: float sums that a term-by-term binary64 sum rounds twice,
-# and values at the edges of binary64
+# a norm whose root differs from the root of its rounded square, and values
+# at the edges of binary64
 FIXED = {
     "x-ulp.float.json": '{"": 1.0, "0": 1e-16, "1": 1e-16}',
     "k-ulp4.float.json": json.dumps({
@@ -52,6 +59,13 @@ FIXED = {
     "x-overflow.float.json": '{"": 1e308, "0": 1e308}',
     "x-cancel.float.json": '{"": 1e308, "0": -1e308, "00": 1e308}',
     "k-unit.float.json": '{"terms": [{"alpha": 1, "interval": "..0"}]}',
+    "x-root.float.json": json.dumps({
+        "11": 0.002217739468876032,
+        "0010": -479.01537921608116,
+        "0100": -0.012844267069350712,
+        "1001": -0.000556592207571627,
+        "0110": 99.59432621722493,
+    }),
 }
 
 
@@ -130,7 +144,7 @@ def write_inputs(root: Path) -> list[list[str]]:
             cases.append(["eval", k, x, "--backend", "float"])
     for x in ("x-tiny.exact.json", "x-huge.exact.json"):
         cases.append(["witness", x])
-    for x in ("x-overflow.float.json", "x-cancel.float.json"):
+    for x in ("x-overflow.float.json", "x-cancel.float.json", "x-root.float.json"):
         cases.append(["witness", x, "--backend", "float"])
     return cases
 
@@ -148,6 +162,21 @@ def run_case(argv: list[str], root: Path) -> tuple[dict, bool]:
         except Exception as exc:  # a crash is reported, not hidden
             code, raised = f"{type(exc).__name__}: {exc}", True
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}, raised
+
+
+def run_on_files(argv: list[str], files: dict) -> tuple[object, object]:
+    """One case on JSON documents written to a fresh temporary directory.
+
+    files maps the file names used in argv to their documents.  Returns the
+    exit code and the one document the case printed, on stdout or stderr.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            (Path(tmp) / name).write_text(json.dumps(doc), encoding="utf-8")
+        line, raised = run_case(argv, Path(tmp))
+    if raised:
+        raise AssertionError(line)
+    return line["exit"], json.loads(line["stdout"] or line["stderr"])
 
 
 def cases(root: Path) -> list[list[str]]:

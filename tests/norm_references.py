@@ -24,7 +24,7 @@ from typing import Sequence
 
 from jamestree.nodes import Interval, Segment, index_of, node_at
 from jamestree.norm import NormWitness
-from jamestree.vectors import FLOAT, JTVector, Scalar, zero_scalar
+from jamestree.vectors import JTVector
 
 FRESH = -1
 
@@ -89,15 +89,14 @@ def envelope_norm(x: JTVector) -> NormWitness:
 
     Handles any finite support.  The witness is trimmed to support
     endpoints, stripped of zero-sum segments, and sorted by (start index,
-    end index); its value always matches the optimum exactly on the exact
-    backend.
+    end index); its value always matches the optimum exactly.
     """
-    zero = zero_scalar(x.backend)
+    zero = Fraction(0)
     vals = {index_of(node): v for node, v in x.entries.items()}
     roots, children = _closure_forest(sorted(vals))
 
     order = sorted(children, reverse=True)  # children have larger ids than parents
-    best: dict[int, Scalar] = {}
+    best: dict[int, Fraction] = {}
     best_idx: dict[int, int] = {}
     options: dict[int, list] = {}
 
@@ -126,8 +125,6 @@ def envelope_norm(x: JTVector) -> NormWitness:
     total = zero
     for r in roots:
         total = total + best[r]
-    if x.backend == FLOAT and not math.isfinite(total):
-        raise OverflowError("the squared norm overflows binary64")
 
     # reconstruct one optimal all-closed family via back-pointers, walking
     # each segment top-down to trim it to its support and sum it
@@ -174,9 +171,9 @@ def chain_norm(values: Sequence) -> Fraction:
     return Fraction(f[-1], scale * scale)
 
 
-def scan_interval_sum(interval: Interval, x: JTVector) -> Scalar:
+def scan_interval_sum(interval: Interval, x: JTVector) -> Fraction:
     """I*(x) = sum of x_s over support nodes s lying in the interval."""
-    total = zero_scalar(x.backend)
+    total = Fraction(0)
     for node, value in x.items():
         if interval.contains(node):
             total += value

@@ -63,7 +63,8 @@ def test_criterion_01_oracle_equivalence():
         oracle = brute_force_norm(x, max_candidates=64).value_squared
         if dp != oracle:
             mismatches += 1
-        fdp = jt_norm(x.to_float()).value_squared
+        xf = JTVector.from_entries({n: float(v) for n, v in x.entries.items()}, FLOAT)
+        fdp = jt_norm(xf).value_squared
         if not math.isclose(fdp, float(dp), rel_tol=1e-9):
             float_bad += 1
         cases.append((x, dp))

@@ -92,6 +92,26 @@ def test_norm_float_backend(tmp_path, capsys):
     assert doc["backend"] == "float"
 
 
+def test_norm_float_root_is_rounded_once(tmp_path, capsys):
+    # the root of the exact square, rounded once; rounding the square to
+    # 239374.76351039243 first would print the root 489.2594030883744
+    entries = {
+        "11": 0.002217739468876032,
+        "0010": -479.01537921608116,
+        "0100": -0.012844267069350712,
+        "1001": -0.000556592207571627,
+        "0110": 99.59432621722493,
+    }
+    vector = write(tmp_path, "x.json", json.dumps(entries))
+    assert run(["norm", vector, "--backend", "float"]) == 0
+    assert out_doc(capsys) == {
+        "value_squared": 239374.76351039243,
+        "value": 489.25940308837437,
+        "method": "dp",
+        "backend": "float",
+    }
+
+
 def test_norm_rejects_rational_string_on_float_backend(tmp_path, capsys):
     vector = write(tmp_path, "x.json", '{"0": "1/2"}')
     assert run(["norm", vector, "--backend", "float"]) == 2
@@ -480,12 +500,20 @@ def _refuse_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+BATTERY_OUTPUT = Path(__file__).with_name("cli_battery.jsonl")
+
+
 def test_battery_meets_the_output_contract(tmp_path):
     # exit 0 or 1: one strict-JSON line on stdout, nothing on stderr;
-    # exit 2: one {"error": <str>} line on stderr, nothing on stdout
-    for argv in cli_battery.cases(tmp_path):
+    # exit 2: one {"error": <str>} line on stderr, nothing on stdout;
+    # and each line is the checked-in expected output
+    expected = BATTERY_OUTPUT.read_text(encoding="utf-8").splitlines()
+    argvs = cli_battery.cases(tmp_path)
+    assert len(argvs) == len(expected)
+    for argv, want in zip(argvs, expected):
         line, raised = cli_battery.run_case(argv, tmp_path)
         assert not raised, line
+        assert json.dumps(line) == want
         code, out, err = line["exit"], line["stdout"], line["stderr"]
         assert code in (0, 1, 2), line
         text, silent = (out, err) if code in (0, 1) else (err, out)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_battery
 from jamestree.functionals import (
     InvalidKStarError,
     KStarElement,
@@ -35,7 +36,7 @@ from jamestree.nodes import (
     node_at,
 )
 from jamestree import norm
-from jamestree.norm import jt_norm
+from jamestree.norm import jt_norm, rounded_root
 from jamestree.vectors import (
     EXACT,
     FLOAT,
@@ -48,6 +49,11 @@ from jamestree.vectors import (
 
 def vec(entries, backend=EXACT):
     return JTVector.from_entries(entries, backend)
+
+
+def run_float(argv, files):
+    """``jamestree <argv> --backend float``: (exit code, printed document)."""
+    return cli_battery.run_on_files([*argv, "--backend", "float"], files)
 
 
 def random_interval(rng):
@@ -307,13 +313,20 @@ def test_eval_kstar_scaled_sum_beyond_binary64():
     # k*(x) = -10^400 / sqrt(2 * 10^800): the sum overflows binary64, the value does not
     k = KStarElement.from_terms([(-(10**400), Segment.parse(".."))], scale_squared=2 * 10**800)
     assert eval_kstar(k, vec({"": 1})) == -math.sqrt(0.5)
-    # on floats too: the squared sum (2e200)^2 overflows, its quotient by 1e308 does not
+    # on float-read inputs too: the squared sum (2e200)^2 is beyond binary64,
+    # its quotient by 1e308 is not, and both are exact
     x = vec({"": 1e200, "0": 1e200}, FLOAT)
     k = KStarElement.from_terms([(1.0, Segment.parse("..0"))], FLOAT, 1e308)
-    assert eval_kstar_squared(k, x) == float((2 * Fraction(1e200)) ** 2 / Fraction(1e308))
-    k = KStarElement.from_terms([(1.0, Segment.parse("..0"))], FLOAT)
-    with pytest.raises(OverflowError, match="binary64"):
-        eval_kstar_squared(k, x)
+    square = (2 * Fraction(1e200)) ** 2
+    assert eval_kstar_squared(k, x) == square / Fraction(1e308)
+    assert eval_kstar_squared(KStarElement.from_terms([(1.0, Segment.parse("..0"))], FLOAT), x) == square
+    # printed, the scaled value is the exact value's root rounded once
+    files = {
+        "k.json": {"terms": [{"alpha": 1.0, "interval": "..0"}], "scale_squared": 1e308},
+        "x.json": {"": 1e200, "0": 1e200},
+    }
+    value = rounded_root(*(square / Fraction(1e308)).as_integer_ratio())
+    assert run_float(["eval", "k.json", "x.json"], files) == (0, {"value": value, "value_decimal": value})
 
 
 WEIGHTS = st.one_of(st.floats(-1, 1), st.floats(-1e6, 1e6))
@@ -328,24 +341,36 @@ VALUES = st.floats(-1e6, 1e6, allow_subnormal=True)
 )
 @example(1, [0.9153121682443466, 0.0, 0.0, 0.0], {node_at(2): 7.0})  # binary64 gave 1 ulp off
 def test_property_float_eval_is_the_exact_value_rounded_once(seed, weights, entries):
+    # float-read inputs evaluate to the exact value of their binary64
+    # values, and the CLI prints that value rounded once
     intervals = [iv for _, iv in random_kstar(random.Random(seed)).terms]
     weights = weights[: len(intervals)]
     scale = max(1.0, 2 * sum(w * w for w in weights))  # 1.0 exercises the unit scale
     kf = KStarElement.from_terms(zip(weights, intervals), FLOAT, scale)
-    ke = KStarElement.from_terms([(Fraction(w), iv) for w, iv in kf.terms], EXACT, Fraction(scale))
+    ke = KStarElement.from_terms([(Fraction(w), iv) for w, iv in zip(weights, intervals)], EXACT, Fraction(scale))
     xf = vec(entries, FLOAT)
     xe = vec({n: Fraction(v) for n, v in xf.entries.items()})
-    assert eval_kstar_squared(kf, xf) == float(eval_kstar_squared(ke, xe))
-    assert eval_kstar(kf, xf) == float(eval_kstar(ke, xe))
+    assert eval_kstar_squared(kf, xf) == eval_kstar_squared(ke, xe)
+    value = eval_kstar(ke, xe)
+    assert eval_kstar(kf, xf) == value
+    assert type(value) is (Fraction if scale == 1 else float)
+    files = {
+        "k.json": {
+            "terms": [{"alpha": w, "interval": interval_to_json(iv)} for w, iv in zip(weights, intervals)],
+            "scale_squared": scale,
+        },
+        "x.json": {str(n): v for n, v in entries.items()},
+    }
+    shown = float(value)
+    assert run_float(["eval", "k.json", "x.json"], files) == (0, {"value": shown, "value_decimal": shown})
 
 
-def test_eval_kstar_backend_mismatch():
-    k = KStarElement.from_terms([(1, Segment.parse(".."))])
-    xf = vec({"": 1.0}, FLOAT)
-    with pytest.raises(BackendMismatchError):
-        eval_kstar(k, xf)
-    with pytest.raises(BackendMismatchError):
-        eval_kstar_squared(k, xf)
+def test_eval_kstar_on_a_float_read_vector_is_exact():
+    # one arithmetic: an exact functional reads a float-read vector's values exactly
+    k = KStarElement.from_terms([(Fraction(1, 3), Segment.parse(".."))])
+    xf = vec({"": 0.1}, FLOAT)
+    assert eval_kstar(k, xf) == Fraction(0.1) / 3
+    assert eval_kstar_squared(k, xf) == (Fraction(0.1) / 3) ** 2
 
 
 def test_random_kstar_within_unit_ball():

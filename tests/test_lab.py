@@ -106,6 +106,9 @@ def test_block_sequence_windows():
     assert combined == vec({"": 1, "0": 2, "1": -3})
     prefix = blocks.combine([Fraction(2)])
     assert prefix == vec({"": 2, "0": 4})
+    # a float-read block combines exactly, like any other
+    mixed = BlockSequence((vec({"": 1}), vec({"0": 0.1}, FLOAT)), (0, 1, 2))
+    assert mixed.combine([Fraction(1), Fraction(1, 3)]) == vec({"": 1, "0": Fraction(0.1) / 3})
 
 
 def test_combine_equals_the_sum_of_scaled_blocks():
@@ -130,8 +133,6 @@ def test_block_sequence_rejects_bad_shapes():
         BlockSequence((u, w), (1, 2, 3))  # support left of window
     with pytest.raises(ValueError):
         BlockSequence((u, JTVector.zero()), (0, 1, 2))  # zero block
-    with pytest.raises(ValueError, match="blocks must be exact"):
-        BlockSequence((u, vec({"0": 1.0}, FLOAT)), (0, 1, 2))  # mixed backends
     with pytest.raises(ValueError):
         BlockSequence((w, u), (0, 2, 3))  # out of order
 

@@ -26,13 +26,25 @@ from jamestree.norm import (
     norm_lower_upper,
     rounded_root,
 )
-from jamestree.vectors import EXACT, FLOAT, JTVector, basis_vector, zero_scalar
+from jamestree.vectors import EXACT, FLOAT, JTVector, basis_vector
+from jamestree.functionals import interval_to_json
 from jamestree.lab import antichain_nodes, random_vector, substream
+import cli_battery
 from norm_references import chain_norm, envelope_norm, scan_interval_sum
 
 
 def vec(entries, backend=EXACT):
     return JTVector.from_entries(entries, backend)
+
+
+def float_doc(xf):
+    """A float-read vector as a float-backend file's document."""
+    return {str(node): float(v) for node, v in xf.items()}
+
+
+def run_float(argv, files):
+    """``jamestree <argv> --backend float``: (exit code, printed document)."""
+    return cli_battery.run_on_files([*argv, "--backend", "float"], files)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +126,7 @@ def test_oracle_tie_break_prefers_small_keys():
 def _all_maximizers(x):
     """Every disjoint family hitting the max, by raw subset enumeration."""
     cands = candidate_segments(x)
-    best, arg = zero_scalar(x.backend), []
+    best, arg = Fraction(0), []
     for k in range(len(cands) + 1):
         for combo in itertools.combinations(cands, k):
             try:
@@ -179,15 +191,21 @@ def exact_of(xf):
     return vec({node: Fraction(v) for node, v in xf.entries.items()})
 
 
+def float_read(x):
+    """x read through the float backend: each entry rounded to binary64."""
+    return vec({node: float(v) for node, v in x.entries.items()}, FLOAT)
+
+
 def test_dp_float_close_to_exact():
     for i in range(150):
         rng = substream(515151, i)
         x = random_vector(rng)
-        exact_sq = float(jt_norm(x).value_squared)
-        float_sq = jt_norm(x.to_float()).value_squared
-        assert math.isclose(float_sq, exact_sq, rel_tol=1e-9, abs_tol=1e-12)
-        # the float result is the correctly rounded exact optimum of its inputs
-        assert float_sq == float(jt_norm(exact_of(x.to_float())).value_squared)
+        xf = float_read(x)
+        float_sq = jt_norm(xf).value_squared
+        assert math.isclose(float_sq, jt_norm(x).value_squared, rel_tol=1e-9, abs_tol=1e-12)
+        # the float-read result is the exact optimum of its binary64 inputs
+        assert type(float_sq) is Fraction
+        assert float_sq == jt_norm(exact_of(xf)).value_squared
 
 
 def test_dp_witness_is_deterministic():
@@ -282,34 +300,59 @@ def test_super_additivity():
         )
 
 
+# binary64 entries whose exact squared norm has a correctly rounded root
+# one ulp away from the root of the square's own rounding
+ROUNDED_TWICE = {
+    "11": 0.002217739468876032,
+    "0010": -479.01537921608116,
+    "0100": -0.012844267069350712,
+    "1001": -0.000556592207571627,
+    "0110": 99.59432621722493,
+}
+
+
 def test_float_backend_end_to_end():
     x = vec({"": 1.0, "0": -0.5, "11": 2.0}, FLOAT)
     w = jt_norm(x)
     lo, hi = norm_lower_upper(x)
     assert lo <= w.value_squared <= hi
-    assert w.value == math.sqrt(w.value_squared)
+    assert w.value_squared == Fraction(37, 4) and w.value == math.sqrt(9.25)
+    # the display root is the exact square's root, rounded once
+    w = jt_norm(vec(ROUNDED_TWICE, FLOAT))
+    assert w.value == 489.25940308837437 != math.sqrt(float(w.value_squared))
+    assert_rounded_root(*w.value_squared.as_integer_ratio())
 
 
 def test_float_overflow_raises():
     # the exact optimum, 3e616, is finite; only its rounding to binary64 fails
-    x = vec({"": 1e308, "0": -1e308, "00": 1e308}, FLOAT)
-    with pytest.raises(OverflowError, match="binary64"):
-        jt_norm(x)
+    xf = vec({"": 1e308, "0": -1e308, "00": 1e308}, FLOAT)
+    assert jt_norm(xf).value_squared == jt_norm(exact_of(xf)).value_squared
+    assert jt_norm(xf).value_squared == 3 * Fraction(1e308) ** 2
+    code, doc = run_float(["norm", "x.json"], {"x.json": float_doc(xf)})
+    assert code == 2 and doc == {"error": "the squared norm overflows binary64"}
 
 
 def test_float_underflow_keeps_the_exact_witness():
     # one segment, 4e-640, beats two singletons, 2e-640, though both round to 0
-    w = jt_norm(vec({"": 1e-320, "0": 1e-320}, FLOAT))
-    assert w.value_squared == 0.0
+    xf = vec({"": 1e-320, "0": 1e-320}, FLOAT)
+    w = jt_norm(xf)
+    assert w.value_squared == jt_norm(exact_of(xf)).value_squared == (2 * Fraction(1e-320)) ** 2
     assert [str(seg) for seg in w.family] == ["..0"]
+    # printed, the square rounds to 0 and its root does not
+    code, doc = run_float(["witness", "x.json"], {"x.json": float_doc(xf)})
+    assert code == 0 and doc["value_squared"] == 0.0 and doc["witness"] == ["..0"]
+    assert doc["value"] == 2 * 1e-320
 
 
 def test_float_intercepts_beyond_binary64_stay_exact():
     # P^2 and 2*P*q exceed binary64 here, while (P - q)^2 does not
-    w = jt_norm(vec({"": 1.2e154, "0": 1.0}, FLOAT))
-    assert w.value_squared == float((Fraction(1.2e154) + 1) ** 2)
-    assert math.isfinite(w.value_squared)
+    xf = vec({"": 1.2e154, "0": 1.0}, FLOAT)
+    w = jt_norm(xf)
+    assert w.value_squared == jt_norm(exact_of(xf)).value_squared == (Fraction(1.2e154) + 1) ** 2
     assert [str(seg) for seg in w.family] == ["..0"]
+    code, doc = run_float(["witness", "x.json"], {"x.json": float_doc(xf)})
+    assert code == 0 and doc["value_squared"] == float(w.value_squared)
+    assert math.isfinite(doc["value_squared"]) and doc["witness"] == ["..0"]
 
 
 def test_deep_pair_costs_no_depth():
@@ -474,8 +517,8 @@ def check_dp_against_oracle(entries):
     for seg in w.family:
         assert seg.start in x.entries and seg.end in x.entries
         assert sum(v for node, v in x.entries.items() if seg.contains(node)) != 0
-    approx = jt_norm(x.to_float()).value_squared
-    assert math.isclose(approx, float(w.value_squared), rel_tol=1e-12)
+    # every value is dyadic, so reading it as binary64 changes nothing
+    assert jt_norm(float_read(x)).value_squared == w.value_squared
 
 
 @PROPERTY
@@ -603,9 +646,9 @@ def test_gate_random_trees(n, seed, kind):
 @GATE
 @given(SIZES, SEEDS)
 def test_gate_float_magnitudes(n, seed):
-    # binary64 values from 1e-300 to 1e154: the float engine returns the
-    # correctly rounded exact optimum of the same inputs, with its witness,
-    # or raises when that rounding overflows
+    # binary64 values from 1e-300 to 1e154: a float-read vector has the
+    # exact optimum of the same inputs, with its witness, and the CLI prints
+    # that optimum rounded once, or an error when the rounding overflows
     rng = random.Random(seed)
     entries = {}
     while len(entries) < n:
@@ -615,15 +658,15 @@ def test_gate_float_magnitudes(n, seed):
     xf = vec({node_at(i): v for i, v in entries.items()}, FLOAT)
     check_against_references({index_of(node): v for node, v in exact_of(xf).entries.items()})
     exact = jt_norm(exact_of(xf))
+    assert jt_norm(xf) == exact
+    code, doc = run_float(["witness", "x.json"], {"x.json": float_doc(xf)})
     try:
         rounded = float(exact.value_squared)
     except OverflowError:
-        with pytest.raises(OverflowError, match="binary64"):
-            jt_norm(xf)
+        assert code == 2 and doc == {"error": "the squared norm overflows binary64"}
         return
-    w = jt_norm(xf)
-    assert w.value_squared == rounded
-    assert w.family == exact.family
+    assert code == 0 and doc["value_squared"] == rounded and doc["value"] == exact.value
+    assert doc["witness"] == [str(seg) for seg in exact.family]
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +692,12 @@ def test_interval_sums_examples():
 
 
 def test_interval_sums_float_overflow_names_binary64():
-    x = vec({"": 1e308, "0": 1e308}, FLOAT)
-    with pytest.raises(OverflowError, match="binary64"):
-        interval_sums([Segment.parse("..0")], x)
+    # the sum is exact; only its printed rounding to binary64 overflows
+    xf = vec({"": 1e308, "0": 1e308}, FLOAT)
+    assert interval_sums([Segment.parse("..0")], xf) == [2 * Fraction(1e308)]
+    k = {"terms": [{"alpha": 1, "interval": "..0"}]}
+    code, doc = run_float(["eval", "k.json", "x.json"], {"k.json": k, "x.json": float_doc(xf)})
+    assert code == 2 and doc == {"error": "the value of the functional exceeds binary64"}
 
 
 def test_first_overlap_examples():
@@ -727,31 +773,20 @@ def greedy_disjoint(intervals):
 @example((vec({"0": 1}), []))
 @example((vec({"": 1.0, "0": 1e-16, "00": 1e-16}, FLOAT), [Segment.parse("..00")]))
 def test_property_interval_sums_equal_the_scan(case):
-    # a float sum is the exact scan of the same binary64 values, rounded once
+    # a float-read sum is the exact scan of the same binary64 values, and
+    # the CLI prints it rounded once
     x, intervals = case
-    exact = x if x.backend == EXACT else exact_of(x)
+    exact = exact_of(x)
     for family in (intervals, greedy_disjoint(intervals)):
         got = interval_sums(family, x)
         want = [scan_interval_sum(iv, exact) for iv in family]
-        if x.backend == FLOAT:
-            want = [float(v) for v in want]
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
-
-
-def assert_rounded_once(call, xf):
-    """call(xf) is float(call(exact_of(xf))), or raises when that overflows.
-
-    A pair is rounded part by part, and raises when either part overflows.
-    """
-    want = call(exact_of(xf))
-    try:
-        want = tuple(map(float, want)) if isinstance(want, tuple) else float(want)
-    except OverflowError:
-        with pytest.raises(OverflowError, match="binary64"):
-            call(xf)
-        return
-    got = call(xf)
-    assert got == want and {type(v) for v in (got if isinstance(got, tuple) else [got])} == {float}
+    if x.backend == FLOAT:
+        for iv in intervals:
+            v = scan_interval_sum(iv, exact)
+            k = {"terms": [{"alpha": 1, "interval": interval_to_json(iv)}]}
+            code, doc = run_float(["eval", "k.json", "x.json"], {"k.json": k, "x.json": float_doc(x)})
+            assert code == 0 and doc == {"value": float(v), "value_decimal": float(v)}
 
 
 @SWEEP
@@ -763,18 +798,31 @@ def assert_rounded_once(call, xf):
     )
 )
 @example({ROOT: 1.0, NodeId.parse("0"): 1e-16, NodeId.parse("00"): 1e-16})
-# the upper bound overflows and the lower does not, so the pair raises
+# the upper bound is beyond binary64 and the lower is not
 @example({node_at(n): 4.469269309980866e153 for n in (1, 2, 3)})
+# the squared norm is beyond binary64
+@example({node_at(n): 1e300 for n in (1, 2)})
 def test_property_float_results_are_the_exact_values_rounded_once(entries):
+    # the library's results on a float-read vector are the exact values of
+    # its binary64 inputs; the CLI prints the squared norm rounded once, or
+    # names binary64 when that rounding overflows
     xf = vec(entries, FLOAT)
-    exact = brute_force_norm(exact_of(xf))
-    assert_rounded_once(lambda v: family_value_squared(v, exact.family), xf)
-    assert_rounded_once(norm_lower_upper, xf)
-    assert_rounded_once(lambda v: brute_force_norm(v).value_squared, xf)
+    xe = exact_of(xf)
+    exact = brute_force_norm(xe)
+    assert brute_force_norm(xf) == exact
+    assert family_value_squared(xf, exact.family) == exact.value_squared
+    assert norm_lower_upper(xf) == norm_lower_upper(xe)
+    results = (exact.value_squared, *norm_lower_upper(xf))
+    assert {type(v) for v in results} == {Fraction}
+    argv = ["norm", "x.json", "--method", "oracle", "--witness"]
+    code, doc = run_float(argv, {"x.json": float_doc(xf)})
     try:
-        assert brute_force_norm(xf).family == exact.family
+        rounded = float(exact.value_squared)
     except OverflowError:
-        pass  # the value overflowed, checked above
+        assert code == 2 and doc == {"error": "the squared norm overflows binary64"}
+        return
+    assert code == 0 and doc["value_squared"] == rounded and doc["value"] == exact.value
+    assert doc["witness"] == [str(seg) for seg in exact.family]
 
 
 @SWEEP

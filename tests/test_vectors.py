@@ -51,16 +51,27 @@ def test_scale_examples():
     assert (-x).coordinate(NodeId((0,))) == Fraction(-3, 2)
 
 
-def test_scale_drops_float_underflow():
-    x = JTVector.from_entries({"": 1e-200, "0": 1.0}, FLOAT)
-    assert x.scale(1e-200).support() == {NodeId((0,))}
-
-
 def test_backend_mismatch_rejected():
+    # a scale factor is read by the vector's input policy, as its entries were
     x = JTVector.from_entries({"": 1}, EXACT)
     y = JTVector.from_entries({"": 1.0}, FLOAT)
     with pytest.raises(BackendMismatchError):
-        x + y
+        x.scale(0.5)
+    with pytest.raises(BackendMismatchError):
+        y.scale(Fraction(1, 2))
+
+
+def test_float_backend_reads_binary64_exactly():
+    # each value is read as binary64, then exactly: an int beyond 2^53 rounds
+    x = JTVector.from_entries({"": 0.1, "0": 2**53 + 1, "1": -0.0}, FLOAT)
+    assert x.entries == {NodeId(): Fraction(0.1), NodeId((0,)): Fraction(2**53)}
+    assert {type(v) for v in x.entries.values()} == {Fraction}
+    # one arithmetic: sums and products are exact, whatever read the vector
+    assert (x + x).backend == FLOAT
+    assert x + x == JTVector.from_entries({"": 2 * Fraction(0.1), "0": 2**54})
+    assert x.scale(1e-200).coordinate(NodeId()) == Fraction(0.1) * Fraction(1e-200)
+    third = Fraction(1, 3)
+    assert JTVector.from_entries({"": third}).entries[NodeId()] is third
 
 
 def test_scalar_coercion_rules():
@@ -120,13 +131,6 @@ def test_add_commutative_associative_exact():
 def test_items_are_in_enumeration_order():
     x = JTVector.from_entries({"11": 1, "": 2, "0": 3})
     assert [str(n) for n, _ in x.items()] == ["", "0", "11"]
-
-
-def test_to_float():
-    x = JTVector.from_entries({"": Fraction(1, 2)})
-    xf = x.to_float()
-    assert xf.backend == FLOAT
-    assert xf.coordinate(NodeId()) == 0.5
 
 
 # ---------------------------------------------------------------------------
